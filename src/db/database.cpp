@@ -93,9 +93,9 @@ void Database::mark_written(std::size_t offset, std::size_t len) noexcept {
     chunk_gen_[c] = gen;
     obs::count(obs::Counter::db_dirty_chunk_stamps);
   }
-  for (std::size_t t = 0; t < layout_.tables().size(); ++t) {
-    const auto range = layout_.records_overlapping(static_cast<TableId>(t),
-                                                   offset, end - offset);
+  const auto [first, last] = layout_.tables_spanning(offset, end - offset);
+  for (TableId t = first; t < last; ++t) {
+    const auto range = layout_.records_overlapping(t, offset, end - offset);
     if (!range) {
       continue;
     }
@@ -137,9 +137,9 @@ void Database::note_scrub(std::size_t offset, std::size_t len) noexcept {
   if (offset >= end) {
     return;
   }
-  for (std::size_t t = 0; t < layout_.tables().size(); ++t) {
-    const auto range = layout_.records_overlapping(static_cast<TableId>(t),
-                                                   offset, end - offset);
+  const auto [first, last] = layout_.tables_spanning(offset, end - offset);
+  for (TableId t = first; t < last; ++t) {
+    const auto range = layout_.records_overlapping(t, offset, end - offset);
     if (!range) {
       continue;
     }

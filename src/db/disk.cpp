@@ -17,9 +17,8 @@ constexpr std::uint32_t kImageMagic = 0xD15C1A6Eu;
 constexpr std::uint32_t kImageVersion = 1;
 constexpr std::size_t kImageHeaderBytes = 16;
 
-void put_u32(std::vector<std::byte>& out, std::uint32_t value) {
-  const auto* bytes = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), bytes, bytes + 4);
+void put_u32(std::span<std::byte> out, std::size_t offset, std::uint32_t value) {
+  std::memcpy(out.data() + offset, &value, 4);
 }
 
 std::uint32_t get_u32(std::span<const std::byte> in, std::size_t offset) {
@@ -144,13 +143,14 @@ DiskResult load_checked(Database& db, std::span<const std::byte> file_bytes) {
 }  // namespace
 
 std::vector<std::byte> make_image_bytes(std::span<const std::byte> payload) {
-  std::vector<std::byte> out;
-  out.reserve(kImageHeaderBytes + payload.size());
-  put_u32(out, kImageMagic);
-  put_u32(out, kImageVersion);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, common::crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
+  // Sized once and filled in place: appending the header words through
+  // vector::insert trips a false -Wstringop-overflow from GCC 12 at -O3.
+  std::vector<std::byte> out(kImageHeaderBytes + payload.size());
+  put_u32(out, 0, kImageMagic);
+  put_u32(out, 4, kImageVersion);
+  put_u32(out, 8, static_cast<std::uint32_t>(payload.size()));
+  put_u32(out, 12, common::crc32(payload));
+  std::copy(payload.begin(), payload.end(), out.begin() + kImageHeaderBytes);
   return out;
 }
 

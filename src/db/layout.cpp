@@ -109,6 +109,23 @@ std::optional<std::pair<RecordIndex, RecordIndex>> Layout::records_overlapping(
       static_cast<RecordIndex>((hi - 1 - tl.offset) / tl.record_size));
 }
 
+std::pair<TableId, TableId> Layout::tables_spanning(std::size_t offset,
+                                                   std::size_t len) const noexcept {
+  const auto table_end = [](const TableLayout& tl) {
+    return tl.offset + tl.record_size * tl.num_records;
+  };
+  const auto first = std::partition_point(
+      tables_.begin(), tables_.end(),
+      [&](const TableLayout& tl) { return table_end(tl) <= offset; });
+  const std::size_t end = offset + len;
+  auto last = first;
+  while (last != tables_.end() && last->offset < end) {
+    ++last;
+  }
+  return {static_cast<TableId>(first - tables_.begin()),
+          static_cast<TableId>(last - tables_.begin())};
+}
+
 namespace {
 
 std::uint32_t field_flags(const FieldSpec& field) {

@@ -128,6 +128,15 @@ class Layout {
   records_overlapping(TableId t, std::size_t offset,
                       std::size_t len) const noexcept;
 
+  /// Half-open range [first, last) of the tables whose extents can
+  /// overlap [offset, offset+len). Tables lie back to back in id order, so
+  /// the range starts at the table holding `offset` (found by binary
+  /// search) and stops at the first table starting at or past the span's
+  /// end; every table outside it misses the span. Empty for catalog-only
+  /// spans.
+  [[nodiscard]] std::pair<TableId, TableId> tables_spanning(
+      std::size_t offset, std::size_t len) const noexcept;
+
  private:
   std::size_t region_size_ = 0;
   std::size_t data_start_ = 0;

@@ -1,10 +1,54 @@
 #include "inject/oracle.hpp"
 
+#include <algorithm>
+
 namespace wtc::inject {
 
 CorruptionOracle::CorruptionOracle(const db::Database& db,
                                    std::function<sim::Time()> clock)
-    : db_(db), clock_(std::move(clock)) {}
+    : db_(db),
+      clock_(std::move(clock)),
+      live_(db.region().size()),
+      pending_(db.region().size()) {}
+
+void CorruptionOracle::ByteFilter::add(std::size_t offset) {
+  if (++count_[offset] == 1) {
+    words_[offset / 64] |= std::uint64_t{1} << (offset % 64);
+  }
+}
+
+void CorruptionOracle::ByteFilter::drop(std::size_t offset) {
+  const auto it = count_.find(offset);
+  if (--it->second == 0) {
+    count_.erase(it);
+    words_[offset / 64] &= ~(std::uint64_t{1} << (offset % 64));
+  }
+}
+
+bool CorruptionOracle::ByteFilter::any(std::size_t offset,
+                                       std::size_t len) const noexcept {
+  const std::size_t bytes = words_.size() * 64;
+  if (offset >= bytes || len == 0) {
+    return false;
+  }
+  const std::size_t end = offset + std::min(len, bytes - offset);
+  const std::size_t first = offset / 64;
+  const std::size_t last = (end - 1) / 64;
+  const std::uint64_t head = ~std::uint64_t{0} << (offset % 64);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - (end - 1) % 64);
+  if (first == last) {
+    return (words_[first] & head & tail) != 0;
+  }
+  if ((words_[first] & head) != 0 || (words_[last] & tail) != 0) {
+    return true;
+  }
+  for (std::size_t w = first + 1; w < last; ++w) {
+    if (words_[w] != 0) {
+      return true;
+    }
+  }
+  return false;
+}
 
 TargetKind CorruptionOracle::classify_offset(std::size_t offset) const {
   const auto loc = db_.layout().locate(offset);
@@ -43,17 +87,24 @@ std::uint64_t CorruptionOracle::record_injection(std::size_t offset,
   record.live_bytes = 1;
   // A newer flip at an already-tracked byte supersedes the older tracking
   // for that byte (the older injection keeps its fate chances through the
-  // overlap machinery having lost that byte).
-  if (auto it = live_bytes_.find(offset); it != live_bytes_.end()) {
-    auto& old = records_[it->second];
+  // overlap machinery having lost that byte). A byte is tracked while any
+  // injection there is live; no write has replaced it since, so the
+  // latest injection at the byte is the one it tracks.
+  if (live_.occupied(offset)) {
+    auto& old = *std::find_if(records_.rbegin(), records_.rend(),
+                              [offset](const InjectionRecord& r) {
+                                return r.offset == offset;
+                              });
     if (old.fate == ErrorFate::Pending && old.live_bytes > 0) {
       --old.live_bytes;
+      live_.drop(offset);
       if (old.live_bytes == 0) {
         decide(old, ErrorFate::Overwritten, std::nullopt);
       }
     }
   }
-  live_bytes_[offset] = records_.size();
+  live_.add(offset);
+  pending_.add(offset);
   records_.push_back(record);
   return record.id;
 }
@@ -66,11 +117,16 @@ void CorruptionOracle::decide(InjectionRecord& record, ErrorFate fate,
   record.fate = fate;
   record.decided_at = clock_();
   record.caught_by = technique;
+  pending_.drop(record.offset);
 }
 
 template <typename Fn>
-void CorruptionOracle::for_overlapping(std::size_t offset, std::size_t len,
+void CorruptionOracle::for_overlapping(const ByteFilter& filter,
+                                       std::size_t offset, std::size_t len,
                                        Fn&& fn) {
+  if (!filter.any(offset, len)) {
+    return;
+  }
   // Injections are sparse (tens per run); iterate them instead of the span.
   const std::size_t end = offset + len;
   for (auto& record : records_) {
@@ -81,9 +137,9 @@ void CorruptionOracle::for_overlapping(std::size_t offset, std::size_t len,
 }
 
 void CorruptionOracle::on_legitimate_write(std::size_t offset, std::size_t len) {
-  for_overlapping(offset, len, [this](InjectionRecord& record) {
+  for_overlapping(live_, offset, len, [this](InjectionRecord& record) {
     // Corrupted byte replaced with known-good data: the divergence is gone.
-    live_bytes_.erase(record.offset);
+    live_.drop(record.offset);
     record.live_bytes = 0;
     decide(record, ErrorFate::Overwritten, std::nullopt);
   });
@@ -91,7 +147,7 @@ void CorruptionOracle::on_legitimate_write(std::size_t offset, std::size_t len) 
 
 void CorruptionOracle::on_client_read(sim::ProcessId, std::size_t offset,
                                       std::size_t len) {
-  for_overlapping(offset, len, [this](InjectionRecord& record) {
+  for_overlapping(pending_, offset, len, [this](InjectionRecord& record) {
     // The application consumed corrupted data before any audit acted: an
     // escaped error (it may still be *found* later, but the damage is done).
     decide(record, ErrorFate::Escaped, std::nullopt);
@@ -103,7 +159,8 @@ void CorruptionOracle::on_finding(const audit::Finding& finding) {
   if (!first_finding_) {
     first_finding_ = clock_();
   }
-  for_overlapping(finding.offset, finding.length, [&](InjectionRecord& record) {
+  for_overlapping(pending_, finding.offset, finding.length,
+                  [&](InjectionRecord& record) {
     decide(record, ErrorFate::Caught, finding.technique);
   });
 }

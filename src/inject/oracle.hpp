@@ -76,7 +76,7 @@ class CorruptionOracle final : public db::RegionObserver, public audit::ReportSi
   CorruptionOracle(const db::Database& db, std::function<sim::Time()> clock);
 
   /// Registers a fresh single-bit flip at `offset` (already applied to the
-  /// region by the injector).
+  /// region by the injector, so `offset` lies inside the region).
   std::uint64_t record_injection(std::size_t offset, std::uint8_t bit);
 
   // --- RegionObserver ---
@@ -100,15 +100,43 @@ class CorruptionOracle final : public db::RegionObserver, public audit::ReportSi
   [[nodiscard]] TargetKind classify_offset(std::size_t offset) const;
   void decide(InjectionRecord& record, ErrorFate fate,
               std::optional<audit::Technique> technique);
-  /// Visits pending injections whose bytes overlap [offset, offset+len).
+  /// Per-region-byte occupancy: how many injections in some state sit at
+  /// each byte (kept only for occupied bytes — injections are sparse), and
+  /// a 64-bit-word bitmap with the bit of every occupied byte set, so a
+  /// span is tested in O(len / 64).
+  class ByteFilter {
+   public:
+    explicit ByteFilter(std::size_t bytes) : words_((bytes + 63) / 64, 0) {}
+    [[nodiscard]] bool occupied(std::size_t offset) const noexcept {
+      return ((words_[offset / 64] >> (offset % 64)) & 1u) != 0;
+    }
+    void add(std::size_t offset);
+    void drop(std::size_t offset);
+    /// True if any byte of [offset, offset+len) is occupied.
+    [[nodiscard]] bool any(std::size_t offset, std::size_t len) const noexcept;
+
+   private:
+    std::unordered_map<std::size_t, std::uint32_t> count_;  // occupied bytes
+    std::vector<std::uint64_t> words_;
+  };
+
+  /// Visits injections with live bytes inside [offset, offset+len), in
+  /// injection order — but returns at once when `filter` shows no occupied
+  /// byte in the span, the common case on every read and write.
   template <typename Fn>
-  void for_overlapping(std::size_t offset, std::size_t len, Fn&& fn);
+  void for_overlapping(const ByteFilter& filter, std::size_t offset,
+                       std::size_t len, Fn&& fn);
 
   const db::Database& db_;
   std::function<sim::Time()> clock_;
   std::vector<InjectionRecord> records_;
-  /// byte offset -> index into records_ (latest injection at that byte).
-  std::unordered_map<std::size_t, std::size_t> live_bytes_;
+  // Live-byte filters. `live_` counts injections whose live_bytes is
+  // non-zero: an escaped injection stays live until a write replaces its
+  // byte, so a later flip there can raise a count above one. Only a write
+  // changes a record that is no longer pending, so writes test `live_`;
+  // reads and findings test `pending_`, the injections still undecided.
+  ByteFilter live_;
+  ByteFilter pending_;
   std::uint64_t findings_ = 0;
   std::optional<sim::Time> first_finding_;
 };

@@ -7,23 +7,6 @@
 
 namespace wtc::sim {
 
-EventId Process::schedule_after(Duration delay, std::function<void()> fn) {
-  Node& node = *node_;
-  const ProcessId pid = pid_;
-  const std::uint64_t incarnation = incarnation_;
-  return node.scheduler().schedule_after(
-      static_cast<Time>(delay),
-      [&node, pid, incarnation, fn = std::move(fn)]() {
-        // Fire only if the same incarnation of the process is still alive;
-        // a killed (or killed-and-restarted) process must not observe
-        // timers from its previous life.
-        auto process = node.find(pid);
-        if (process && process->incarnation_ == incarnation) {
-          fn();
-        }
-      });
-}
-
 Time Process::now() const noexcept { return node_->now(); }
 
 ProcessId Node::spawn(std::string name, std::shared_ptr<Process> process) {
@@ -62,13 +45,13 @@ std::string Node::name_of(ProcessId pid) const {
 }
 
 void Node::send(ProcessId to, Message message, Duration delay) {
-  const std::uint64_t key = link_key(message.from, to);
-  ++links_[key].sent;
+  LinkCounters& link = links_[link_key(message.from, to)];
+  ++link.sent;
   ++totals_.sent;
   obs::count(obs::Counter::ipc_sent);
   if (faults_) {
     if (faults_->should_drop()) {
-      ++links_[key].dropped;
+      ++link.dropped;
       ++totals_.dropped;
       obs::count(obs::Counter::ipc_dropped);
       common::log(common::LogLevel::Debug, "sim", "channel dropped message type ",
@@ -76,35 +59,35 @@ void Node::send(ProcessId to, Message message, Duration delay) {
       return;
     }
     if (faults_->should_duplicate()) {
-      ++links_[key].duplicated;
+      ++link.duplicated;
       ++totals_.duplicated;
       obs::count(obs::Counter::ipc_duplicated);
-      deliver(to, message, delay + faults_->jitter());
+      deliver(to, message, delay + faults_->jitter(), link);
     }
     delay += faults_->jitter();
   }
-  deliver(to, std::move(message), delay);
+  deliver(to, std::move(message), delay, link);
 }
 
-void Node::deliver(ProcessId to, const Message& message, Duration delay) {
-  const std::uint64_t key = link_key(message.from, to);
-  scheduler_.schedule_after(static_cast<Time>(delay),
-                            [this, to, key, message]() {
-                              if (auto process = find(to)) {
-                                ++links_[key].delivered;
-                                ++totals_.delivered;
-                                obs::count(obs::Counter::ipc_delivered);
-                                process->on_message(message);
-                              } else {
-                                ++links_[key].dead_letters;
-                                ++totals_.dead_letters;
-                                obs::count(obs::Counter::ipc_dead_letters);
-                                common::log(common::LogLevel::Debug, "sim",
-                                            "dead letter: message type ",
-                                            message.type, " from ", message.from,
-                                            " to dead process ", to);
-                              }
-                            });
+void Node::deliver(ProcessId to, Message message, Duration delay,
+                   LinkCounters& link) {
+  scheduler_.schedule_after(
+      static_cast<Time>(delay),
+      [this, to, &link, message = std::move(message)]() {
+        if (auto process = find(to)) {
+          ++link.delivered;
+          ++totals_.delivered;
+          obs::count(obs::Counter::ipc_delivered);
+          process->on_message(message);
+        } else {
+          ++link.dead_letters;
+          ++totals_.dead_letters;
+          obs::count(obs::Counter::ipc_dead_letters);
+          common::log(common::LogLevel::Debug, "sim", "dead letter: message type ",
+                      message.type, " from ", message.from, " to dead process ",
+                      to);
+        }
+      });
 }
 
 LinkCounters Node::link_counters(ProcessId from, ProcessId to) const {

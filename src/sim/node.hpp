@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/channel_faults.hpp"
@@ -58,7 +59,9 @@ class Process {
 
   /// Schedules a member callback after `delay`; automatically inert if the
   /// process has been killed (or killed-and-restarted) in the meantime.
-  EventId schedule_after(Duration delay, std::function<void()> fn);
+  /// `fn` is captured directly by the scheduled event's callable.
+  template <typename Fn>
+  EventId schedule_after(Duration delay, Fn&& fn);
 
   /// Current virtual time.
   [[nodiscard]] Time now() const noexcept;
@@ -141,7 +144,10 @@ class Node {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  void deliver(ProcessId to, const Message& message, Duration delay);
+  /// Schedules the delivery of `message` to `to`; `link` is the counters
+  /// entry of the message's link (unordered_map entries never move, so the
+  /// event holds it by reference instead of looking it up again).
+  void deliver(ProcessId to, Message message, Duration delay, LinkCounters& link);
 
   Scheduler& scheduler_;
   std::unordered_map<ProcessId, Slot> table_;
@@ -151,5 +157,23 @@ class Node {
   std::unordered_map<std::uint64_t, LinkCounters> links_;
   LinkCounters totals_;
 };
+
+template <typename Fn>
+EventId Process::schedule_after(Duration delay, Fn&& fn) {
+  Node& node = *node_;
+  return node.scheduler().schedule_after(
+      static_cast<Time>(delay),
+      [&node, pid = pid_, incarnation = incarnation_,
+       fn = std::forward<Fn>(fn)]() mutable {
+        // Fire only if the same incarnation of the process is still alive;
+        // a killed (or killed-and-restarted) process must not observe
+        // timers from its previous life. `process` keeps the object alive
+        // while its own callback runs, even if the callback kills it.
+        const std::shared_ptr<Process> process = node.find(pid);
+        if (process && process->incarnation_ == incarnation) {
+          fn();
+        }
+      });
+}
 
 }  // namespace wtc::sim

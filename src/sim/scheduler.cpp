@@ -6,9 +6,20 @@
 
 namespace wtc::sim {
 
+std::uint32_t Scheduler::store(Callback cb) {
+  if (free_slots_.empty()) {
+    slots_.push_back(std::move(cb));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = std::move(cb);
+  return slot;
+}
+
 EventId Scheduler::schedule_at(Time t, Callback cb) {
   const EventId id = next_id_++;
-  heap_.push_back(Event{std::max(t, now_), id, std::move(cb), false});
+  heap_.push_back(Key{std::max(t, now_), id, store(std::move(cb)), false});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   obs::gauge_max(obs::Gauge::sched_max_pending_events,
                  heap_.size() - tombstones_);
@@ -17,14 +28,14 @@ EventId Scheduler::schedule_at(Time t, Callback cb) {
 
 bool Scheduler::cancel(EventId id) {
   // Rare path: find the entry and tombstone it in place. Mutating the
-  // non-key fields leaves the heap order intact; the tombstone is
-  // discarded when it surfaces at the top.
-  for (Event& event : heap_) {
-    if (event.id == id) {
-      if (event.cancelled) {
+  // non-key fields leaves the heap order intact; the tombstone and its
+  // callable are discarded when it surfaces at the top.
+  for (Key& key : heap_) {
+    if (key.id == id) {
+      if (key.cancelled) {
         return false;  // double cancel
       }
-      event.cancelled = true;
+      key.cancelled = true;
       ++tombstones_;
       obs::count(obs::Counter::sched_events_cancelled);
       return true;
@@ -33,10 +44,18 @@ bool Scheduler::cancel(EventId id) {
   return false;  // already fired or never existed
 }
 
+Scheduler::Key Scheduler::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  return key;
+}
+
 void Scheduler::discard_cancelled_top() {
   while (!heap_.empty() && heap_.front().cancelled) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    const Key key = pop();
+    slots_[key.slot] = nullptr;
+    free_slots_.push_back(key.slot);
     --tombstones_;
     obs::count(obs::Counter::sched_tombstones_purged);
   }
@@ -47,13 +66,15 @@ bool Scheduler::step() {
   if (heap_.empty()) {
     return false;
   }
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event event = std::move(heap_.back());
-  heap_.pop_back();
-  now_ = event.time;
+  const Key key = pop();
+  now_ = key.time;
   ++fired_;
   obs::count(obs::Counter::sched_events_fired);
-  Callback cb = std::move(event.cb);
+  // Move the callable out before freeing its slot: the callback may
+  // schedule events that reuse the slot or grow slots_. Its captures are
+  // released when `cb` goes out of scope, right after it returns.
+  Callback cb = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
   cb();
   return true;
 }

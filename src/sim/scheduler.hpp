@@ -5,11 +5,17 @@
 // callbacks here. Two events at the same instant fire in scheduling order
 // (FIFO tie-break), which keeps runs bit-reproducible across platforms.
 //
+// The heap orders small fixed-size keys {time, id, slot}; each event's
+// callable sits in a slot store beside it and never moves while the heap
+// sifts. Freed slots go on a free list, so a steady-state run reuses the
+// same slots and the store stops growing at the peak pending count.
+//
 // Cancellation uses in-place tombstones instead of a pending-id hash set:
 // schedule_at/step — the hot path, fired millions of times per run — do
 // no hashing at all; cancel() (rare: the only callers are tests and
-// explicit teardown paths) scans the heap, marks the event cancelled, and
-// step() discards tombstones as they surface.
+// explicit teardown paths) scans the heap, marks the key cancelled, and
+// step() discards tombstones as they surface, releasing their callables
+// and slots only then.
 #pragma once
 
 #include <cstdint>
@@ -67,26 +73,34 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
  private:
-  struct Event {
+  struct Key {
     Time time;
-    EventId id;  // doubles as the FIFO tie-break
-    Callback cb;
-    bool cancelled = false;  // tombstone: discarded when it surfaces
+    EventId id;          // doubles as the FIFO tie-break
+    std::uint32_t slot;  // index of the callable in slots_
+    bool cancelled;      // tombstone: discarded when it surfaces
   };
+  static_assert(sizeof(Key) == 24);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       return a.time != b.time ? a.time > b.time : a.id > b.id;
     }
   };
 
-  /// Pops cancelled events off the heap top so heap_.front() (if any) is
-  /// the earliest live event.
+  /// Moves `cb` into a free slot (reusing one when the free list has any)
+  /// and returns its index.
+  std::uint32_t store(Callback cb);
+  /// Pops `heap_`'s top key (the heap must be non-empty).
+  Key pop();
+  /// Pops cancelled keys off the heap top, releasing their callables and
+  /// slots, so heap_.front() (if any) is the earliest live event.
   void discard_cancelled_top();
 
   // Binary heap over `heap_` (std::push_heap/pop_heap) rather than a
   // std::priority_queue: cancel() needs to scan and mark entries in
   // place, which priority_queue's interface forbids.
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Callback> slots_;           // callables, indexed by Key::slot
+  std::vector<std::uint32_t> free_slots_;  // slots_ entries not in use
   std::size_t tombstones_ = 0;  // cancelled entries still inside heap_
   Time now_ = 0;
   EventId next_id_ = 1;

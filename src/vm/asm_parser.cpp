@@ -337,7 +337,16 @@ void append(std::string& out, const char* mnemonic,
   out += '\n';
 }
 
-std::string reg(std::uint8_t r) { return "r" + std::to_string(r); }
+/// `prefix` followed by decimal `value`, built by appending to the prefix
+/// (GCC 12 at -O3 reports a false -Wrestrict overlap for the equivalent
+/// `"r" + std::to_string(value)`, which inserts at the front).
+std::string prefixed(const char* prefix, std::uint32_t value) {
+  std::string out = prefix;
+  out += std::to_string(value);
+  return out;
+}
+
+std::string reg(std::uint8_t r) { return prefixed("r", r); }
 std::string imm(std::int32_t v) { return std::to_string(v); }
 
 }  // namespace
@@ -362,7 +371,7 @@ std::string format_asm(const Program& program) {
   const auto target_ref = [&](std::int32_t value) -> std::string {
     const auto target = static_cast<std::uint32_t>(value);
     if (target < program.size() && labelled[target]) {
-      return "L" + std::to_string(target);
+      return prefixed("L", target);
     }
     return imm(value);
   };
@@ -373,7 +382,8 @@ std::string format_asm(const Program& program) {
   }
   for (std::uint32_t pc = 0; pc < program.size(); ++pc) {
     if (labelled[pc]) {
-      out += "L" + std::to_string(pc) + ":\n";
+      out += prefixed("L", pc);
+      out += ":\n";
     }
     const Instr i = decode(program.text[pc]);
     switch (i.op) {

@@ -279,5 +279,142 @@ TEST_F(IndexTest, FullRelinkAllocChargesOneReadPerScannedHeader) {
   EXPECT_EQ(counting.reads, 6);  // headers 0..5 scanned, one charge each
 }
 
+// --- mark_written narrowing: the same stamps as the all-tables loop ---
+
+struct Stamps {
+  std::vector<std::uint64_t> table, table_header, table_field;
+  std::vector<std::vector<std::uint64_t>> record, header, field;
+  bool operator==(const Stamps&) const = default;
+};
+
+Stamps read_stamps(const Database& db) {
+  Stamps s;
+  for (TableId t = 0; t < db.table_count(); ++t) {
+    s.table.push_back(db.table_generation(t));
+    s.table_header.push_back(db.table_header_generation(t));
+    s.table_field.push_back(db.table_field_generation(t));
+    auto& record = s.record.emplace_back();
+    auto& header = s.header.emplace_back();
+    auto& field = s.field.emplace_back();
+    for (RecordIndex r = 0; r < db.layout().table(t).num_records; ++r) {
+      record.push_back(db.record_generation(t, r));
+      header.push_back(db.header_generation(t, r));
+      field.push_back(db.field_generation(t, r));
+    }
+  }
+  return s;
+}
+
+/// The stamps mark_written's earlier loop — records_overlapping on every
+/// table, for every write — leaves after marking [offset, offset+len) with
+/// generation `gen`, starting from `s`. `resyncs` counts the index resyncs
+/// that loop makes.
+Stamps all_tables_loop(const Database& db, Stamps s, std::size_t offset,
+                       std::size_t len, std::uint64_t gen, std::uint64_t& resyncs) {
+  const Layout& layout = db.layout();
+  const std::size_t end = std::min(offset + len, db.region().size());
+  if (offset >= end) {
+    return s;
+  }
+  for (std::size_t t = 0; t < layout.tables().size(); ++t) {
+    const auto range =
+        layout.records_overlapping(static_cast<TableId>(t), offset, end - offset);
+    if (!range) {
+      continue;
+    }
+    s.table[t] = gen;
+    const auto& tl = layout.tables()[t];
+    for (RecordIndex r = range->first; r <= range->second; ++r) {
+      s.record[t][r] = gen;
+      const std::size_t rec_at =
+          tl.offset + static_cast<std::size_t>(r) * tl.record_size;
+      const std::size_t field_start = rec_at + kRecordHeaderSize;
+      if (offset < field_start) {
+        s.header[t][r] = gen;
+        s.table_header[t] = gen;
+        if (offset < rec_at + 12 && end > rec_at + 4) {
+          ++resyncs;
+        }
+      }
+      if (end > field_start && tl.num_fields > 0) {
+        s.field[t][r] = gen;
+        s.table_field[t] = gen;
+      }
+    }
+  }
+  return s;
+}
+
+/// Runs `write` (which must mark exactly [offset, offset+len)) and checks
+/// it stamped what the all-tables loop stamps, made as many index resyncs,
+/// and left every index equal to its region.
+template <typename Write>
+void expect_stamps_like_all_tables_loop(Database& db, std::size_t offset,
+                                        std::size_t len, Write&& write) {
+  std::uint64_t expected_resyncs = 0;
+  const Stamps expected = all_tables_loop(db, read_stamps(db), offset, len,
+                                          db.write_generation() + 1,
+                                          expected_resyncs);
+  obs::Recorder recorder;
+  {
+    obs::ScopedRecorder scope(recorder);
+    write();
+  }
+  EXPECT_EQ(read_stamps(db), expected) << "span " << offset << "+" << len;
+  EXPECT_EQ(recorder.snapshot().counter(obs::Counter::db_index_resyncs),
+            expected_resyncs)
+      << "span " << offset << "+" << len;
+  EXPECT_TRUE(all_indexes_verify(db)) << "span " << offset << "+" << len;
+}
+
+TEST_F(IndexTest, MarkWrittenAcrossATableBoundaryStampsLikeAllTablesLoop) {
+  // The last record of one table and the first header of the next.
+  const TableLayout& a = db_->layout().table(ids_.process);
+  const TableId next = static_cast<TableId>(ids_.process + 1);
+  ASSERT_LT(next, db_->table_count());
+  const std::size_t last_rec = db_->layout().record_offset(ids_.process, a.num_records - 1);
+  const std::size_t next_rec = db_->layout().record_offset(next, 0);
+  ASSERT_EQ(last_rec + a.record_size, next_rec);  // back to back
+  // Change the next table's first status word behind the store's back, so
+  // the resync has something to pick up.
+  store_u32(db_->region(), next_rec + 4, kStatusActive);
+  const std::size_t offset = last_rec + kRecordHeaderSize + 4;
+  const std::size_t len = next_rec + 10 - offset;
+  expect_stamps_like_all_tables_loop(*db_, offset, len,
+                                     [&]() { db_->mark_written(offset, len); });
+  EXPECT_EQ(db_->header_generation(next, 0), db_->write_generation());
+  EXPECT_EQ(db_->field_generation(ids_.process, a.num_records - 1),
+            db_->write_generation());
+}
+
+TEST_F(IndexTest, MarkWrittenInsideTheCatalogStampsNoTable) {
+  const Stamps before = read_stamps(*db_);
+  expect_stamps_like_all_tables_loop(*db_, 8, 40, [&]() { db_->mark_written(8, 40); });
+  EXPECT_EQ(read_stamps(*db_), before);
+  EXPECT_TRUE(db_->span_written_since(8, 40, db_->write_generation() - 1));
+}
+
+TEST_F(IndexTest, ReloadAllFromDiskStampsLikeAllTablesLoop) {
+  for (TableId t = 0; t < db_->table_count(); ++t) {
+    if (db_->layout().table(t).num_records > 0) {
+      store_u32(db_->region(), db_->layout().record_offset(t, 0) + 8, 7);
+    }
+  }
+  const std::size_t size = db_->region().size();
+  expect_stamps_like_all_tables_loop(*db_, 0, size,
+                                     [&]() { db_->reload_all_from_disk(); });
+}
+
+TEST_F(IndexTest, RandomSpansStampLikeAllTablesLoop) {
+  common::Rng rng(0x5BA11);
+  const std::size_t size = db_->region().size();
+  for (int i = 0; i < 500; ++i) {
+    const std::size_t offset = rng.uniform(size + 16);  // some past the end
+    const std::size_t len = 1 + rng.uniform(rng.chance(0.1) ? size : 96);
+    expect_stamps_like_all_tables_loop(*db_, offset, len,
+                                       [&]() { db_->mark_written(offset, len); });
+  }
+}
+
 }  // namespace
 }  // namespace wtc::db

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <unordered_map>
+#include <vector>
 
 #include "callproc/vm_program.hpp"
+#include "common/rng.hpp"
 #include "db/controller_schema.hpp"
 #include "inject/client_injector.hpp"
 #include "inject/db_injector.hpp"
@@ -119,6 +122,195 @@ TEST_F(OracleTest, ClassifiesTargetKinds) {
   EXPECT_EQ(records[3].kind, TargetKind::RangedField);
   EXPECT_EQ(records[4].kind, TargetKind::KeyField);
   EXPECT_EQ(records[5].kind, TargetKind::UnruledField);
+}
+
+// --- live-byte filter equivalence ---
+
+/// The oracle's decision logic before the live-byte filter: every write,
+/// read and finding scans all injections recorded so far, and a map names
+/// the latest injection at each tracked byte. The equivalence test below
+/// holds the filtered oracle to it.
+class LinearScanOracle final : public db::RegionObserver {
+ public:
+  explicit LinearScanOracle(const sim::Time& now) : now_(now) {}
+
+  void record_injection(std::size_t offset) {
+    InjectionRecord record;
+    record.id = records_.size();
+    record.offset = offset;
+    record.injected_at = now_;
+    record.live_bytes = 1;
+    if (auto it = latest_.find(offset); it != latest_.end()) {
+      auto& old = records_[it->second];
+      if (old.fate == ErrorFate::Pending && old.live_bytes > 0) {
+        --old.live_bytes;
+        if (old.live_bytes == 0) {
+          decide(old, ErrorFate::Overwritten, std::nullopt);
+        }
+      }
+    }
+    latest_[offset] = records_.size();
+    records_.push_back(record);
+  }
+  void on_legitimate_write(std::size_t offset, std::size_t len) override {
+    for (auto& record : records_) {
+      if (overlaps(record, offset, len)) {
+        latest_.erase(record.offset);
+        record.live_bytes = 0;
+        decide(record, ErrorFate::Overwritten, std::nullopt);
+      }
+    }
+  }
+  void on_client_read(sim::ProcessId, std::size_t offset, std::size_t len) override {
+    for (auto& record : records_) {
+      if (overlaps(record, offset, len)) {
+        decide(record, ErrorFate::Escaped, std::nullopt);
+      }
+    }
+  }
+  void on_finding(const audit::Finding& finding) {
+    for (auto& record : records_) {
+      if (overlaps(record, finding.offset, finding.length)) {
+        decide(record, ErrorFate::Caught, finding.technique);
+      }
+    }
+  }
+  [[nodiscard]] const std::vector<InjectionRecord>& records() const {
+    return records_;
+  }
+
+ private:
+  static bool overlaps(const InjectionRecord& record, std::size_t offset,
+                       std::size_t len) {
+    return record.live_bytes > 0 && record.offset >= offset &&
+           record.offset < offset + len;
+  }
+  void decide(InjectionRecord& record, ErrorFate fate,
+              std::optional<audit::Technique> technique) {
+    if (record.fate == ErrorFate::Pending) {
+      record.fate = fate;
+      record.decided_at = now_;
+      record.caught_by = technique;
+    }
+  }
+
+  const sim::Time& now_;
+  std::vector<InjectionRecord> records_;
+  std::unordered_map<std::size_t, std::size_t> latest_;
+};
+
+/// Forwards the database's region hooks to both oracles.
+class TeeObserver final : public db::RegionObserver {
+ public:
+  TeeObserver(db::RegionObserver& a, db::RegionObserver& b) : a_(a), b_(b) {}
+  void on_legitimate_write(std::size_t offset, std::size_t len) override {
+    a_.on_legitimate_write(offset, len);
+    b_.on_legitimate_write(offset, len);
+  }
+  void on_client_read(sim::ProcessId pid, std::size_t offset,
+                      std::size_t len) override {
+    a_.on_client_read(pid, offset, len);
+    b_.on_client_read(pid, offset, len);
+  }
+
+ private:
+  db::RegionObserver& a_;
+  db::RegionObserver& b_;
+};
+
+void expect_same_records(const CorruptionOracle& oracle,
+                         const LinearScanOracle& reference, int step) {
+  const auto& got = oracle.records();
+  const auto& want = reference.records();
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].offset, want[i].offset) << "step " << step << " record " << i;
+    ASSERT_EQ(got[i].fate, want[i].fate) << "step " << step << " record " << i;
+    ASSERT_EQ(got[i].decided_at, want[i].decided_at)
+        << "step " << step << " record " << i;
+    ASSERT_EQ(got[i].caught_by, want[i].caught_by)
+        << "step " << step << " record " << i;
+    ASSERT_EQ(got[i].live_bytes, want[i].live_bytes)
+        << "step " << step << " record " << i;
+  }
+}
+
+TEST_F(OracleTest, LiveByteFilterMatchesLinearScanReference) {
+  LinearScanOracle reference(now_);
+  TeeObserver tee(oracle_, reference);
+  db_->set_observer(&tee);
+  const std::size_t region = db_->region().size();
+
+  // Injection targets: a few hot bytes (repeat flips) at and around 64-byte
+  // word boundaries, plus anywhere in the region.
+  std::vector<std::size_t> hot;
+  for (std::size_t b = 64; b + 64 < region && hot.size() < 24; b += region / 8) {
+    hot.insert(hot.end(), {b - 1, b, b + 1, b + 63});
+  }
+  const auto inject = [&](std::size_t offset) {
+    oracle_.record_injection(offset, 0);
+    reference.record_injection(offset);
+  };
+  const auto find = [&](std::size_t offset, std::size_t len) {
+    audit::Finding finding;
+    finding.technique = static_cast<audit::Technique>(offset % 3);
+    finding.offset = offset;
+    finding.length = len;
+    oracle_.on_finding(finding);
+    reference.on_finding(finding);
+  };
+
+  // Fixed prefix: repeat flips at one byte (the pending one is superseded),
+  // then a flip at a byte whose earlier injection already escaped (both
+  // stay live), then a write that clears them all.
+  inject(hot[1]);
+  inject(hot[1]);
+  now_ = 10;
+  oracle_.on_client_read(1, hot[1], 1);
+  reference.on_client_read(1, hot[1], 1);
+  now_ = 20;
+  inject(hot[1]);
+  find(hot[1], 1);
+  expect_same_records(oracle_, reference, -1);
+  EXPECT_EQ(oracle_.records()[1].fate, ErrorFate::Escaped);
+  EXPECT_EQ(oracle_.records()[1].live_bytes, 1);
+  EXPECT_EQ(oracle_.records()[2].fate, ErrorFate::Caught);
+  db_->note_write(hot[1] - 2, 130);  // crosses two word boundaries
+  expect_same_records(oracle_, reference, -2);
+
+  common::Rng rng(0x0DAC1E5);
+  for (int step = 0; step < 8'000; ++step) {
+    now_ += 1 + rng.uniform(50);
+    const std::size_t near = rng.chance(0.7) ? hot[rng.uniform(hot.size())]
+                                             : rng.uniform(region);
+    // Spans start up to 70 bytes before a hot byte and reach up to 200
+    // bytes, so many cross one or more 64-byte words.
+    const std::size_t start = near - std::min<std::size_t>(near, rng.uniform(70));
+    const std::size_t len = 1 + rng.uniform(200);
+    const std::uint64_t op = rng.uniform(100);
+    if (op < 25) {
+      inject(rng.chance(0.8) ? near : rng.uniform(region));
+    } else if (op < 50) {
+      db_->note_write(start, len);  // clamps at the region end
+    } else if (op < 80) {
+      oracle_.on_client_read(1, start, len);
+      reference.on_client_read(1, start, len);
+    } else if (op < 99) {
+      find(start, len);
+    } else {
+      db_->reload_all_from_disk();  // one write over the whole region
+    }
+    if (step % 16 == 0) {
+      expect_same_records(oracle_, reference, step);
+    }
+  }
+  expect_same_records(oracle_, reference, 8'000);
+  // The sequence reached every fate.
+  const auto summary = oracle_.summary();
+  EXPECT_GT(summary.escaped, 0u);
+  EXPECT_GT(summary.caught, 0u);
+  EXPECT_GT(summary.overwritten, 0u);
+  db_->set_observer(nullptr);
 }
 
 TEST(DbInjector, FlipsBitsAtConfiguredRate) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/cpu.hpp"
@@ -140,6 +141,98 @@ TEST(Scheduler, StopBreaksRun) {
   EXPECT_EQ(fired, 2);
 }
 
+// --- slot store: callables live beside the heap, in reusable slots ---
+
+TEST(Scheduler, CapturesAreReleasedAfterTheCallableFires) {
+  Scheduler sched;
+  auto token = std::make_shared<int>(0);
+  long use_count_inside = 0;
+  sched.schedule_at(5, [token, &use_count_inside]() {
+    use_count_inside = token.use_count();
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(sched.step());
+  EXPECT_EQ(use_count_inside, 2);  // alive while it runs
+  EXPECT_EQ(token.use_count(), 1);  // released once it returned
+}
+
+TEST(Scheduler, CancelledCapturesAreReleasedWhenTheTombstoneIsPurged) {
+  Scheduler sched;
+  auto token = std::make_shared<int>(0);
+  const EventId id = sched.schedule_at(5, [token]() {});
+  sched.schedule_at(10, []() {});
+  ASSERT_TRUE(sched.cancel(id));
+  // Cancelling only marks the key; the callable goes when it surfaces.
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(sched.step());  // purges the tombstone, fires the t=10 event
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(sched.now(), 10u);
+}
+
+TEST(Scheduler, SlotReusedAfterCancelNeverFiresTheOldCallable) {
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<EventId> cancelled;
+  // Each round cancels an event, lets its tombstone surface (freeing its
+  // slot), and schedules a new event into that slot.
+  for (int round = 0; round < 50; ++round) {
+    const EventId dead = sched.schedule_after(1, [&fired]() { fired.push_back(-1); });
+    ASSERT_TRUE(sched.cancel(dead));
+    cancelled.push_back(dead);
+    sched.schedule_after(2, [&fired, round]() { fired.push_back(round); });
+    ASSERT_TRUE(sched.step());  // purges `dead`, fires this round's event
+    EXPECT_EQ(sched.pending_events(), 0u);
+  }
+  std::vector<int> expected;
+  for (int round = 0; round < 50; ++round) {
+    expected.push_back(round);
+  }
+  EXPECT_EQ(fired, expected);
+  for (const EventId id : cancelled) {
+    EXPECT_FALSE(sched.cancel(id));  // a reused slot does not revive the id
+  }
+}
+
+TEST(Scheduler, FifoTieBreakHoldsOverTenThousandEventsWithCancels) {
+  Scheduler sched;
+  constexpr std::size_t kEvents = 10'000;
+  std::vector<std::size_t> order;
+  std::vector<EventId> ids(kEvents);
+  std::vector<bool> live(kEvents, true);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    ids[i] = sched.schedule_at(7, [&, i]() {
+      order.push_back(i);
+      // Every tenth event cancels its successor from inside the run.
+      if (i % 10 == 0 && i + 1 < kEvents && live[i + 1]) {
+        EXPECT_TRUE(sched.cancel(ids[i + 1]));
+        live[i + 1] = false;
+      }
+    });
+    // Interleaved with scheduling: cancel the event scheduled five back.
+    if (i % 7 == 6) {
+      EXPECT_TRUE(sched.cancel(ids[i - 5]));
+      live[i - 5] = false;
+    }
+  }
+  // Cancel-from-inside targets are known only while running; replay that
+  // rule over the schedule-time survivors to get the expected order.
+  std::vector<bool> survives = live;
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    if (!survives[i]) {
+      continue;
+    }
+    expected.push_back(i);
+    if (i % 10 == 0 && i + 1 < kEvents) {
+      survives[i + 1] = false;
+    }
+  }
+  sched.run();
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(sched.empty());
+  EXPECT_EQ(sched.now(), 7u);
+}
+
 class Echo : public Process {
  public:
   void on_message(const Message& message) override {
@@ -224,6 +317,83 @@ TEST(Node, RespawnedProcessDoesNotSeeOldTimers) {
   node.spawn("t", p);  // same object, new incarnation
   sched.run_until(50);
   EXPECT_EQ(p->ticks, 2);  // only the new incarnation's two timers
+}
+
+/// Kills itself from inside its own callback, then touches its members:
+/// the Node must keep it alive until that callback returns.
+class SelfKiller : public Process {
+ public:
+  explicit SelfKiller(bool& destroyed) : destroyed_(destroyed) {}
+  ~SelfKiller() override { destroyed_ = true; }
+
+  void on_start() override {
+    if (kill_in_timer) {
+      schedule_after(10, [this]() { kill_self(); });
+    }
+  }
+  void on_message(const Message&) override { kill_self(); }
+
+  bool kill_in_timer = false;
+
+ private:
+  void kill_self() {
+    node().kill(pid());
+    // Still inside the callback: the object must not be gone yet.
+    alive_after_kill_ = !destroyed_;
+    EXPECT_TRUE(alive_after_kill_);
+  }
+
+  bool& destroyed_;
+  bool alive_after_kill_ = false;
+};
+
+TEST(Node, ProcessKilledInItsOwnTimerLivesUntilTheCallbackReturns) {
+  bool destroyed = false;  // declared first: outlives the node
+  Scheduler sched;
+  Node node(sched);
+  {
+    auto p = std::make_shared<SelfKiller>(destroyed);
+    p->kill_in_timer = true;
+    node.spawn("k", p);
+  }  // the node now holds the only reference
+  sched.run();
+  EXPECT_TRUE(destroyed);  // released once the timer callback returned
+  EXPECT_EQ(node.alive_count(), 0u);
+}
+
+TEST(Node, ProcessKilledInItsOwnOnMessageLivesUntilTheCallbackReturns) {
+  bool destroyed = false;  // declared first: outlives the node
+  Scheduler sched;
+  Node node(sched);
+  ProcessId pid = kNoProcess;
+  {
+    auto p = std::make_shared<SelfKiller>(destroyed);
+    pid = node.spawn("k", p);
+  }
+  node.send(pid, Message{.from = 0, .type = 1, .args = {1, 2, 3}});
+  sched.run();
+  EXPECT_TRUE(destroyed);
+  EXPECT_EQ(node.alive_count(), 0u);
+}
+
+TEST(Node, DuplicatedAndOriginalDeliveriesCarryTheSameArgs) {
+  Scheduler sched;
+  Node node(sched);
+  auto a = std::make_shared<Echo>();
+  const ProcessId pa = node.spawn("a", a);
+  ChannelFaultsConfig faults;
+  faults.duplicate_probability = 1.0;
+  node.set_channel_faults(faults);
+  node.send(pa, Message{.from = 0, .type = 9, .args = {7, 8, 9}});
+  sched.run();
+  ASSERT_EQ(a->received.size(), 2u);
+  for (const Message& m : a->received) {
+    EXPECT_EQ(m.args, (std::vector<std::uint64_t>{7, 8, 9}));
+  }
+  const LinkCounters link = node.link_counters(0, pa);
+  EXPECT_EQ(link.sent, 1u);
+  EXPECT_EQ(link.duplicated, 1u);
+  EXPECT_EQ(link.delivered, 2u);
 }
 
 TEST(Node, BookkeepingCounters) {
