@@ -9,6 +9,7 @@
 // therefore exposed to the same corruption the audit must detect.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -21,6 +22,9 @@ using FieldId = std::uint16_t;
 using RecordIndex = std::uint32_t;
 
 inline constexpr TableId kNoTable = 0xFFFF;
+/// Upper bound on fields per table: the range audit records a record's
+/// failing fields as one bit each in a 64-bit mask.
+inline constexpr std::size_t kMaxFieldsPerTable = 64;
 
 /// Referential role a field plays in the semantic-integrity graph (§4.3.3).
 enum class FieldRole : std::uint8_t {
