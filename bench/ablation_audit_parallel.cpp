@@ -137,7 +137,7 @@ void print_latency(const std::vector<Arm>& arms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 5);
+  const std::size_t runs = bench::runs_flag(argc, argv, 5);
   const std::size_t duration_s = bench::flag(argc, argv, "duration", 400);
   const std::size_t scale = bench::flag(argc, argv, "scale", 64);
   const std::size_t gate_threads = bench::flag(argc, argv, "audit-threads", 4);

@@ -14,7 +14,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 8);
+  const std::size_t runs = bench::runs_flag(argc, argv, 8);
   bench::campaign_init(argc, argv);
 
   common::TablePrinter table({"Audit period (s)", "Caught %", "Escaped %",

@@ -166,7 +166,7 @@ ArmResult run_arm(const Arm& arm, sim::Duration slice_period,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 40);
+  const std::size_t runs = bench::runs_flag(argc, argv, 40);
   const std::size_t slice_ms = bench::flag(argc, argv, "slice-period", 100);
   const bool with_attest = bench::flag(argc, argv, "cf-attest", 1) != 0;
   const bool with_heal = bench::flag(argc, argv, "heal", 1) != 0;

@@ -13,7 +13,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 10);
+  const std::size_t runs = bench::runs_flag(argc, argv, 10);
   bench::campaign_init(argc, argv);
 
   common::TablePrinter table({"Configuration", "Caught %", "Escaped %",

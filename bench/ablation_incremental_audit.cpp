@@ -218,7 +218,7 @@ void write_json(const std::string& path, const std::vector<Arm>& cost_arms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 10);
+  const std::size_t runs = bench::runs_flag(argc, argv, 10);
   const std::size_t duration_s = bench::flag(argc, argv, "duration", 2000);
   const std::size_t sweep_interval = bench::flag(argc, argv, "sweep", 10);
   const std::string json_path =

@@ -88,7 +88,7 @@ FailoverResult run_one(bool with_manager, sim::Duration kill_every,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 8);
+  const std::size_t runs = bench::runs_flag(argc, argv, 8);
   const auto kill_every = static_cast<sim::Duration>(
       bench::flag(argc, argv, "killevery", 120) * sim::kSecond);
   bench::campaign_init(argc, argv);

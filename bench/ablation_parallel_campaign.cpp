@@ -126,7 +126,7 @@ double scheduler_events_per_s(bool emulate_pending_set) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 8);
+  const std::size_t runs = bench::runs_flag(argc, argv, 8);
   const std::size_t duration_s = bench::flag(argc, argv, "duration", 1000);
   const std::size_t jobs = bench::flag(argc, argv, "jobs", 4);
   const std::string json_path =

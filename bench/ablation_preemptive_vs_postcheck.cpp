@@ -20,7 +20,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 50);
+  const std::size_t runs = bench::runs_flag(argc, argv, 50);
   bench::campaign_init(argc, argv);
 
   const experiments::CfcMode modes[] = {experiments::CfcMode::None,

@@ -15,7 +15,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 6);
+  const std::size_t runs = bench::runs_flag(argc, argv, 6);
   bench::campaign_init(argc, argv);
 
   common::TablePrinter table({"Recovery", "Caught %", "Escaped %", "Latent %",

@@ -19,7 +19,6 @@
 // spurious (audit still alive when restarted), takeovers, dead letters.
 //
 // Flags: --runs=N (default 4), --killevery=S (default 300), --csv=FILE
-#include <algorithm>
 #include <cstdio>
 #include <optional>
 
@@ -190,8 +189,7 @@ CellResult run_one(Deployment deployment, double drop, sim::Duration kill_every,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs =
-      std::max<std::size_t>(1, bench::flag(argc, argv, "runs", 4));
+  const std::size_t runs = bench::runs_flag(argc, argv, 4);
   const auto kill_every = static_cast<sim::Duration>(
       bench::flag(argc, argv, "killevery", 300) * sim::kSecond);
   const std::string csv_path = bench::flag_str(argc, argv, "csv");

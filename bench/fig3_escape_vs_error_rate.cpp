@@ -15,7 +15,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 10);
+  const std::size_t runs = bench::runs_flag(argc, argv, 10);
   const std::string csv_path = bench::flag_str(argc, argv, "csv");
   bench::campaign_init(argc, argv);
 

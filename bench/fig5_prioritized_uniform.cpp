@@ -16,7 +16,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 5);
+  const std::size_t runs = bench::runs_flag(argc, argv, 5);
   const auto duration = static_cast<sim::Duration>(
       bench::flag(argc, argv, "duration", 600) * sim::kSecond);
   const std::string csv_path = bench::flag_str(argc, argv, "csv");

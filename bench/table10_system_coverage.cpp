@@ -16,7 +16,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 25);
+  const std::size_t runs = bench::runs_flag(argc, argv, 25);
   const std::size_t db_runs = bench::flag(argc, argv, "dbruns", 10);
   bench::campaign_init(argc, argv);
 

@@ -15,7 +15,7 @@
 using namespace wtc;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = bench::flag(argc, argv, "runs", 30);
+  const std::size_t runs = bench::runs_flag(argc, argv, 30);
   bench::campaign_init(argc, argv);
 
   auto params = bench::table2_params();
