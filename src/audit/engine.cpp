@@ -12,10 +12,10 @@ namespace wtc::audit {
 
 namespace {
 
-/// Books one check invocation in the observability layer. Every public
-/// check entry point (and every scan dispatched by incremental_pass)
-/// funnels its result through here, so `audit.checks` counts check
-/// invocations uniformly no matter which element drove them.
+/// Books one check invocation in the observability layer. Every scan
+/// (run_unit, which the one-shot checks and both cycles go through) and
+/// the event check funnel their result through here, so `audit.checks`
+/// counts check invocations uniformly no matter which element drove them.
 CheckResult tally(CheckResult result) {
   obs::count(obs::Counter::audit_checks);
   obs::observe(obs::Histogram::audit_check_cost_us,
@@ -23,7 +23,34 @@ CheckResult tally(CheckResult result) {
   return result;
 }
 
-std::string_view technique_name(Technique technique) noexcept {
+/// This many *consecutive* corrupted headers indicate table/record
+/// misalignment; the whole database is reloaded from disk (§4.3.2).
+constexpr std::uint32_t kConsecutiveHeaderThreshold = 3;
+
+/// Selective monitoring (§4.4.2): a value is suspect when its occurrence
+/// count is below kSelectiveFraction * the mean occurrences, and only a
+/// peaked distribution (at least kSelectiveMinMeanOccurrences per value)
+/// is trusted to derive such an invariant from.
+constexpr double kSelectiveFraction = 0.3;
+constexpr double kSelectiveMinMeanOccurrences = 4.0;
+
+/// A record was skipped without being verified: pull the scan's `mark`
+/// below its write generation `gen` so the next incremental scan revisits
+/// it. Callers pass the generation from the same domain their dirty test
+/// uses (record_generation for structure, field_generation for the content
+/// checks).
+void hold_watermark(std::uint64_t gen, std::uint64_t& mark) {
+  if (gen > 0) {
+    mark = std::min(mark, gen - 1);
+  }
+}
+
+/// "No such field" in the engine's per-table field indexes.
+constexpr db::FieldId kNoField = 0xFFFF;
+
+}  // namespace
+
+std::string_view to_string(Technique technique) noexcept {
   switch (technique) {
     case Technique::StaticChecksum: return "static-checksum";
     case Technique::RangeCheck: return "range-check";
@@ -36,12 +63,6 @@ std::string_view technique_name(Technique technique) noexcept {
     case Technique::ReplayCheck: return "replay-check";
   }
   return "?";
-}
-
-}  // namespace
-
-std::string_view to_string(Technique technique) noexcept {
-  return technique_name(technique);
 }
 
 std::string_view to_string(Recovery recovery) noexcept {
@@ -75,11 +96,12 @@ AuditEngine::AuditEngine(db::Database& db, EngineConfig config,
   config_.cost_per_static_chunk = scale(config_.cost_per_static_chunk);
   config_.cost_event_check = scale(config_.cost_event_check);
   // Golden checksums: chunk every static span and CRC the pristine bytes.
+  // The chunk (detection and reload granularity) is the store's dirty-grid
+  // chunk, so the incremental scan's dirty test is one grid lookup.
+  constexpr std::size_t kChunk = db::Database::kDirtyChunkBytes;
   for (const auto& [offset, length] : db_.static_spans()) {
-    for (std::size_t at = offset; at < offset + length;
-         at += config_.static_chunk_bytes) {
-      const std::size_t chunk_len =
-          std::min(config_.static_chunk_bytes, offset + length - at);
+    for (std::size_t at = offset; at < offset + length; at += kChunk) {
+      const std::size_t chunk_len = std::min(kChunk, offset + length - at);
       const auto bytes = db_.pristine().subspan(at, chunk_len);
       static_chunks_.push_back({at, chunk_len, common::crc32(bytes)});
     }
@@ -92,32 +114,32 @@ AuditEngine::AuditEngine(db::Database& db, EngineConfig config,
   selective_watermark_.assign(tables, 0);
   referencing_.resize(tables);
   anchor_table_.assign(tables, 0);
-  has_pk_.assign(tables, 0);
+  fk_field_.assign(tables, kNoField);
+  pk_field_.assign(tables, kNoField);
   chain_anchor_.reserve(tables);
   for (db::TableId t = 0; t < tables; ++t) {
     const auto& spec = db_.schema().tables[t];
-    bool has_fk = false;
     for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
       const auto& field = spec.fields[f];
       if (field.role == db::FieldRole::ForeignKey) {
-        has_fk = true;
+        if (fk_field_[t] == kNoField) {
+          fk_field_[t] = f;
+        }
         if (field.ref_table < tables) {
           referencing_[field.ref_table].emplace_back(t, f);
         }
-      } else if (field.role == db::FieldRole::PrimaryKey) {
-        has_pk_[t] = 1;
+      } else if (field.role == db::FieldRole::PrimaryKey && pk_field_[t] == kNoField) {
+        pk_field_[t] = f;
       }
     }
-    anchor_table_[t] = static_cast<char>(spec.dynamic && has_fk ? 1 : 0);
+    anchor_table_[t] =
+        static_cast<char>(spec.dynamic && fk_field_[t] != kNoField ? 1 : 0);
     chain_anchor_.emplace_back(
         spec.num_records,
         std::make_pair(db::kNoTable, db::RecordIndex{0}));
-  }
-  // Flattened record ordinals for the semantic scan's budget-resume index.
-  record_ordinal_base_.assign(tables, 0);
-  for (db::TableId t = 0; t < tables; ++t) {
-    record_ordinal_base_[t] = total_records_;
-    total_records_ += db_.schema().tables[t].num_records;
+    // Flattened record ordinals for the semantic scan's budget-resume index.
+    record_ordinal_base_.push_back(total_records_);
+    total_records_ += spec.num_records;
   }
 }
 
@@ -133,10 +155,10 @@ std::uint64_t AuditEngine::table_dirty_chunks(db::TableId t) const {
       mark);
 }
 
-std::size_t AuditEngine::parallel_detect(
+void AuditEngine::parallel_detect(
     std::size_t items, const std::function<void(std::size_t)>& detect) {
   if (items == 0) {
-    return 0;
+    return;
   }
   const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
   const std::size_t tasks = (items + grain - 1) / grain;
@@ -149,7 +171,7 @@ std::size_t AuditEngine::parallel_detect(
     for (std::size_t i = 0; i < items; ++i) {
       detect(i);
     }
-    return tasks;
+    return;
   }
   if (!pool_) {
     pool_ = std::make_unique<common::WorkerPool>(config_.audit_threads - 1);
@@ -167,22 +189,13 @@ std::size_t AuditEngine::parallel_detect(
       }
     }
   });
-  return tasks;
 }
 
 sim::Duration AuditEngine::greedy_makespan(
     const std::vector<sim::Duration>& task_costs, std::size_t workers) {
-  workers = std::max<std::size_t>(1, workers);
-  if (workers == 1) {
-    sim::Duration sum = 0;
-    for (const sim::Duration cost : task_costs) {
-      sum += cost;
-    }
-    return sum;
-  }
   // Greedy list scheduling in task order (the deterministic model of a
   // work queue): each task lands on the currently least-loaded worker.
-  std::vector<sim::Duration> load(workers, 0);
+  std::vector<sim::Duration> load(std::max<std::size_t>(1, workers), 0);
   for (const sim::Duration cost : task_costs) {
     auto* slot = &load[0];
     for (auto& worker : load) {
@@ -199,15 +212,9 @@ sim::Duration AuditEngine::greedy_makespan(
   return makespan;
 }
 
-sim::Duration AuditEngine::makespan_of(
-    const std::vector<sim::Duration>& task_costs) const {
-  return greedy_makespan(task_costs, config_.audit_threads);
-}
-
 void AuditEngine::report(Finding finding) {
   finding.time = clock_();
   finding.shard = shard_id_;
-  ++findings_;
   obs::count(obs::Counter::audit_findings);
   obs::trace_instant("audit.finding", "audit",
                      static_cast<std::uint64_t>(finding.time));
@@ -222,6 +229,35 @@ void AuditEngine::report(Finding finding) {
   }
 }
 
+Finding AuditEngine::record_finding(Technique technique, Recovery recovery,
+                                    db::TableId t, db::RecordIndex r) const {
+  Finding finding;
+  finding.technique = technique;
+  finding.recovery = recovery;
+  finding.table = t;
+  finding.record = r;
+  finding.offset = db_.layout().record_offset(t, r);
+  finding.length = db_.layout().table(t).record_size;
+  return finding;
+}
+
+Finding AuditEngine::header_finding(db::TableId t, db::RecordIndex r) const {
+  Finding finding =
+      record_finding(Technique::StructuralCheck, Recovery::RepairHeader, t, r);
+  finding.length = db::kRecordHeaderSize;
+  return finding;
+}
+
+Finding AuditEngine::field_finding(Technique technique, Recovery recovery,
+                                   db::TableId t, db::RecordIndex r,
+                                   db::FieldId f) const {
+  Finding finding = record_finding(technique, recovery, t, r);
+  finding.field = f;
+  finding.offset = db_.layout().field_offset(t, r, f);
+  finding.length = sizeof(std::int32_t);
+  return finding;
+}
+
 bool AuditEngine::recently_written(db::TableId t, db::RecordIndex r) const {
   const auto& meta = db_.record_meta(t, r);
   const sim::Time now = clock_();
@@ -230,38 +266,105 @@ bool AuditEngine::recently_written(db::TableId t, db::RecordIndex r) const {
              static_cast<sim::Time>(config_.recent_write_grace);
 }
 
-void AuditEngine::hold_watermark(std::uint64_t gen, std::uint64_t& new_mark) {
-  if (gen > 0) {
-    new_mark = std::min(new_mark, gen - 1);
+CheckResult AuditEngine::check_static(Scan scan) {
+  return run_alone(WorkUnit::Kind::Static, db::kNoTable, scan);
+}
+CheckResult AuditEngine::check_structure(db::TableId t, Scan scan) {
+  return run_alone(WorkUnit::Kind::Structure, t, scan);
+}
+CheckResult AuditEngine::check_ranges(db::TableId t, Scan scan) {
+  return run_alone(WorkUnit::Kind::Ranges, t, scan);
+}
+CheckResult AuditEngine::check_semantics(Scan scan) {
+  return run_alone(WorkUnit::Kind::Semantics, db::kNoTable, scan);
+}
+CheckResult AuditEngine::check_selective(db::TableId t, Scan scan) {
+  return run_alone(WorkUnit::Kind::Selective, t, scan);
+}
+
+/// Bookkeeping one scan installment shares with every other: the epoch
+/// mark (captured on the scan's first installment), per-detection-task
+/// cost booking for the makespan model, the truncate-and-carry point and
+/// the "adopt the watermark unless truncated" tail.
+class AuditEngine::Installment {
+ public:
+  Installment(AuditEngine& engine, WorkUnit& unit, sim::Duration budget)
+      : progress(unit.progress),
+        engine_(engine),
+        budget_(budget),
+        grain_(std::max<std::size_t>(1, engine.config_.parallel_grain)) {
+    if (!progress.started) {
+      // First installment: capture the epoch mark. Writes that land during
+      // this or any later installment have generations above it and stay
+      // dirty for the next scan.
+      progress.started = true;
+      progress.mark = engine.db_.write_generation();
+    }
   }
-}
 
-CheckResult AuditEngine::check_static() {
-  return tally(static_scan(true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_static_incremental() {
-  return tally(static_scan(false, kUnlimited, nullptr));
-}
+  /// True when the budget is spent: records `item` as the resume point and
+  /// marks the unit truncated; the caller stops its loop there. Budgets
+  /// are positive, so every installment books at least one item.
+  [[nodiscard]] bool stop_at(std::size_t item) {
+    if (result.cost < budget_) {
+      return false;
+    }
+    // Out of budget: only what was scanned is booked; resume here next cycle.
+    progress.resume = item;
+    progress.truncated = true;
+    return true;
+  }
 
-CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
-                                     ScanProgress* progress) {
-  CheckResult result;
-  scan_makespan_ = 0;
-  if (!config_.static_check) {
+  /// Books the `k`-th selected item of a parallel scan against detection
+  /// task k / parallel_grain. Serial scans book every item as k = 0: the
+  /// whole scan is one task, whose critical path is its total cost.
+  void book(std::size_t k, sim::Duration cost) {
+    const std::size_t task = k / grain_;
+    if (task >= task_cost_.size()) {
+      task_cost_.resize(task + 1, 0);
+    }
+    task_cost_[task] += cost;
+    result.cost += cost;
+  }
+
+  /// Ends the installment: records its makespan and, unless it was
+  /// truncated, adopts `mark` into `*watermark` (nullptr: the scan's
+  /// recovery invalidated it, adopt nothing).
+  CheckResult finish(std::uint64_t* watermark) {
+    engine_.scan_makespan_ =
+        greedy_makespan(task_cost_, engine_.config_.audit_threads);
+    if (watermark != nullptr && !progress.truncated) {
+      // Epoch watermark: writes that landed during (any installment of)
+      // this scan have generations above `mark` and stay dirty for the next
+      // cycle; skip-holds have already pulled it below what went unverified.
+      *watermark = progress.mark;
+    }
     return result;
   }
-  const std::size_t resume = progress != nullptr ? progress->resume : 0;
-  const std::uint64_t mark = progress != nullptr && progress->started
-                                 ? progress->mark
-                                 : db_.write_generation();
+
+  ScanProgress& progress;
+  CheckResult result;
+
+ private:
+  AuditEngine& engine_;
+  sim::Duration budget_;
+  std::size_t grain_;
+  std::vector<sim::Duration> task_cost_;
+};
+
+CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
+  if (!config_.static_check) {
+    return {};
+  }
+  Installment run(*this, unit, budget);
 
   // Select: the chunk indexes this installment must verify. Computed up
   // front (not interleaved with recovery) so the parallel detection phase
   // sees exactly the set the merge phase will book.
   std::vector<std::size_t> selected;
-  for (std::size_t i = resume; i < static_chunks_.size(); ++i) {
+  for (std::size_t i = run.progress.resume; i < static_chunks_.size(); ++i) {
     const auto& chunk = static_chunks_[i];
-    if (exhaustive ||
+    if (unit.scan == Scan::Exhaustive ||
         db_.span_written_since(chunk.offset, chunk.length, static_watermark_)) {
       selected.push_back(i);
     }
@@ -277,21 +380,11 @@ CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
 
   // Merge in chunk order: cost booking, findings, and reloads all happen
   // here on the calling thread, so output is identical at any thread count.
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
-  std::vector<sim::Duration> task_cost((selected.size() + grain - 1) / grain, 0);
-  bool truncated = false;
   for (std::size_t k = 0; k < selected.size(); ++k) {
-    if (budget != kUnlimited && result.cost >= budget && k > 0) {
-      // Out of budget: book only what was scanned; resume here next cycle.
-      truncated = true;
-      progress->resume = selected[k];
-      progress->mark = mark;
-      progress->started = true;
-      progress->truncated = true;
+    if (run.stop_at(selected[k])) {
       break;
     }
-    result.cost += config_.cost_per_static_chunk;
-    task_cost[k / grain] += config_.cost_per_static_chunk;
+    run.book(k, config_.cost_per_static_chunk);
     if (clean[k]) {
       continue;
     }
@@ -306,16 +399,10 @@ CheckResult AuditEngine::static_scan(bool exhaustive, sim::Duration budget,
       finding.record = loc->record;
     }
     report(finding);
-    ++result.findings;
+    ++run.result.findings;
     db_.reload_span_from_disk(chunk.offset, chunk.length);
   }
-  scan_makespan_ = makespan_of(task_cost);
-  if (!truncated) {
-    // Epoch watermark: writes that landed during (any installment of) this
-    // scan have generations above `mark` and stay dirty for the next cycle.
-    static_watermark_ = mark;
-  }
-  return result;
+  return run.finish(&static_watermark_);
 }
 
 bool AuditEngine::header_corrupted(db::TableId t, db::RecordIndex r,
@@ -338,36 +425,22 @@ bool AuditEngine::header_corrupted(db::TableId t, db::RecordIndex r,
   return header.next != expected_next;
 }
 
-CheckResult AuditEngine::check_structure(db::TableId t) {
-  return tally(structure_scan(t, true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_structure_incremental(db::TableId t) {
-  return tally(structure_scan(t, false, kUnlimited, nullptr));
-}
-
-CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
-                                        sim::Duration budget,
-                                        ScanProgress* progress) {
-  CheckResult result;
-  scan_makespan_ = 0;
-  if (!config_.structural_check || t >= db_.table_count()) {
-    return result;
+CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
+  const db::TableId t = unit.table;
+  if (t >= db_.table_count() || db_.lock_info(t)) {
+    // Locked: a client transaction is in progress and the result would be
+    // invalid. The watermark is NOT advanced, so nothing is lost for the
+    // next cycle.
+    return {};
   }
-  if (db_.lock_info(t)) {
-    // Client transaction in progress: result would be invalid. The
-    // watermark is NOT advanced, so nothing is lost for the next cycle.
-    return result;
-  }
-  const std::size_t resume = progress != nullptr ? progress->resume : 0;
-  const std::uint64_t mark = progress != nullptr && progress->started
-                                 ? progress->mark
-                                 : db_.write_generation();
+  Installment run(*this, unit, budget);
   // Header generations, not record generations: this check validates only
   // the 16-byte headers, and ordinary call-data field updates cannot
   // corrupt what it reads.
+  const bool exhaustive = unit.scan == Scan::Exhaustive;
   if (!exhaustive && db_.table_header_generation(t) <= structure_watermark_[t]) {
-    structure_watermark_[t] = mark;
-    return result;  // no header write anywhere in the table since last scan
+    // No header write anywhere in the table since the last scan.
+    return run.finish(&structure_watermark_[t]);
   }
   const auto& tl = db_.layout().table(t);
 
@@ -391,9 +464,9 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
   // Select: records this installment must validate. All repairs happen
   // after detection (below), so an up-front selection sees the same dirty
   // set the legacy interleaved loop did.
+  const auto resume = static_cast<db::RecordIndex>(run.progress.resume);
   std::vector<db::RecordIndex> selected;
-  for (db::RecordIndex r = static_cast<db::RecordIndex>(resume);
-       r < tl.num_records; ++r) {
+  for (db::RecordIndex r = resume; r < tl.num_records; ++r) {
     if (exhaustive || db_.header_generation(t, r) > structure_watermark_[t]) {
       selected.push_back(r);
     }
@@ -409,15 +482,12 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
   });
 
   // Merge in record order, replaying the sequential loop's consecutive-run
-  // accounting (clean-skipped records reset the run).
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
-  std::vector<sim::Duration> task_cost((selected.size() + grain - 1) / grain, 0);
+  // accounting (clean-skipped records reset the run). The run lives in the
+  // unit's progress, so a truncated scan resumes it.
   std::vector<db::RecordIndex> bad;
-  std::uint32_t consecutive = progress != nullptr ? progress->consecutive : 0;
-  bool truncated = false;
+  std::uint32_t& consecutive = run.progress.consecutive;
   std::size_t k = 0;  // position in `selected`
-  for (db::RecordIndex r = static_cast<db::RecordIndex>(resume);
-       r < tl.num_records; ++r) {
+  for (db::RecordIndex r = resume; r < tl.num_records; ++r) {
     if (k >= selected.size() || selected[k] != r) {
       // Verified clean by a previous scan and untouched since. Reading its
       // group above cost nothing extra — the booked cost models the
@@ -425,20 +495,13 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
       consecutive = 0;
       continue;
     }
-    if (budget != kUnlimited && result.cost >= budget && k > 0) {
-      truncated = true;
-      progress->resume = r;
-      progress->mark = mark;
-      progress->consecutive = consecutive;
-      progress->started = true;
-      progress->truncated = true;
+    if (run.stop_at(r)) {
       break;
     }
-    result.cost += config_.cost_per_record_structural;
-    task_cost[k / grain] += config_.cost_per_record_structural;
+    run.book(k, config_.cost_per_record_structural);
     if (corrupt[k]) {
       bad.push_back(r);
-      if (++consecutive >= config_.consecutive_header_threshold) {
+      if (++consecutive >= kConsecutiveHeaderThreshold) {
         // Strong indication of misalignment: reload the whole database
         // (§4.3.2). Dynamic state — all active calls — is lost. Verdicts
         // for the remaining records are discarded unbooked, exactly like
@@ -450,16 +513,11 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
         finding.offset = 0;
         finding.length = db_.region().size();
         report(finding);
-        ++result.findings;
+        ++run.result.findings;
         db_.reload_all_from_disk();
-        scan_makespan_ = makespan_of(task_cost);
         // Watermark deliberately not advanced: the reload rewrote the
         // whole region, and everything should be re-verified next cycle.
-        // Any carried progress is void for the same reason.
-        if (progress != nullptr) {
-          progress->truncated = false;
-        }
-        return result;
+        return run.finish(nullptr);
       }
     } else {
       consecutive = 0;
@@ -468,84 +526,117 @@ CheckResult AuditEngine::structure_scan(db::TableId t, bool exhaustive,
   }
 
   for (const db::RecordIndex r : bad) {
-    Finding finding;
-    finding.technique = Technique::StructuralCheck;
-    finding.recovery = Recovery::RepairHeader;
-    finding.table = t;
-    finding.record = r;
-    finding.offset = db_.layout().record_offset(t, r);
-    finding.length = db::kRecordHeaderSize;
-    report(finding);
-    ++result.findings;
+    report(header_finding(t, r));
+    ++run.result.findings;
     db::direct::repair_header(db_, t, r);
   }
-  scan_makespan_ = makespan_of(task_cost);
-  if (!truncated) {
-    // Repairs above went through the store (note_write), so the repaired
-    // records carry generations > mark and get re-verified next cycle — and
-    // the same notification resynchronizes the shadow group index with the
-    // repaired header words, keeping the API's O(1) splice path coherent
-    // after structural recovery.
-    structure_watermark_[t] = mark;
-  }
-  return result;
+  // Repairs above went through the store (note_write), so the repaired
+  // records carry generations > mark and get re-verified next cycle — and
+  // the same notification resynchronizes the shadow group index with the
+  // repaired header words, keeping the API's O(1) splice path coherent
+  // after structural recovery.
+  return run.finish(&structure_watermark_[t]);
 }
 
-CheckResult AuditEngine::check_ranges(db::TableId t) {
-  return tally(ranges_scan(t, true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_ranges_incremental(db::TableId t) {
-  return tally(ranges_scan(t, false, kUnlimited, nullptr));
-}
-
-namespace {
-
-/// Read-only verdict for one record of the range scan. `checked` fields
-/// were examined (each books one cost_per_field_range in the merge);
-/// `violations` is a bit per FieldId that failed its rule. The detection
-/// phase computes verdicts against the pre-recovery region state, which
-/// is exactly what the sequential interleaved loop read too: recovery
-/// writes for record A touch only A's own field/status bytes (plus
-/// neighbors' header link words on a free-relink), none of which a later
-/// record's range detection reads.
-struct RangeVerdict {
+/// Read-only verdict for one record of the range rule. `checked` fields
+/// were examined (each books one cost_per_field_range); `violations` is a
+/// bit per FieldId that failed its rule (schemas cap tables at
+/// db::kMaxFieldsPerTable = 64 fields). The range scan computes verdicts
+/// against the pre-recovery region state, which is exactly what the
+/// sequential interleaved loop read too: recovery writes for record A
+/// touch only A's own field/status bytes (plus neighbors' header link
+/// words on a free-relink), none of which a later record's range
+/// detection reads.
+struct AuditEngine::RangeVerdict {
   enum class Kind : std::uint8_t { Skip, Grace, Free, Active };
   Kind kind = Kind::Skip;
   std::uint32_t checked = 0;
   std::uint64_t violations = 0;
 };
 
-}  // namespace
+AuditEngine::RangeVerdict AuditEngine::range_verdict(db::TableId t,
+                                                     db::RecordIndex r) const {
+  const auto& spec = db_.schema().tables[t];
+  RangeVerdict v;
+  const auto status = db::direct::read_header(db_, t, r).status;
+  if (status == db::kStatusFree) {
+    // Free records must hold exactly their catalog defaults (the API
+    // scrubs them on free) — the strongest possible rule, so the audit
+    // sweep removes latent errors in unused data ("the entire database
+    // is checked for errors periodically", §5.1).
+    v.kind = RangeVerdict::Kind::Free;
+    for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
+      ++v.checked;
+      if (db::direct::read_field(db_, t, r, f) != spec.fields[f].default_value) {
+        v.violations |= std::uint64_t{1} << f;
+      }
+    }
+    return v;
+  }
+  if (status != db::kStatusActive) {
+    return v;  // corrupted status: the structural audit owns this
+  }
+  v.kind = RangeVerdict::Kind::Active;
+  for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
+    const auto& field = spec.fields[f];
+    if (!field.has_range()) {
+      continue;
+    }
+    ++v.checked;
+    const std::int32_t value = db::direct::read_field(db_, t, r, f);
+    if (value < *field.range_min || value > *field.range_max) {
+      v.violations |= std::uint64_t{1} << f;
+      return v;  // record will be freed; no further fields are scanned
+    }
+  }
+  return v;
+}
 
-CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
-                                     sim::Duration budget,
-                                     ScanProgress* progress) {
-  CheckResult result;
-  scan_makespan_ = 0;
-  if (!config_.range_check || t >= db_.table_count()) {
-    return result;
+std::uint32_t AuditEngine::recover_ranges(db::TableId t, db::RecordIndex r,
+                                          const RangeVerdict& verdict) {
+  const auto& spec = db_.schema().tables[t];
+  std::uint32_t findings = 0;
+  for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
+    if ((verdict.violations & (std::uint64_t{1} << f)) == 0) {
+      continue;
+    }
+    ++findings;
+    // Recovery: reset to the catalog default; an active record is also
+    // freed preemptively to stop error propagation (§4.3.1).
+    db::direct::write_field(db_, t, r, f, spec.fields[f].default_value);
+    if (verdict.kind == RangeVerdict::Kind::Active) {
+      report(field_finding(Technique::RangeCheck, Recovery::FreeRecord, t, r, f));
+      db::direct::free_record(db_, t, r);
+      break;  // record is gone; stop scanning its fields
+    }
+    report(field_finding(Technique::RangeCheck, Recovery::ResetField, t, r, f));
+  }
+  return findings;
+}
+
+CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
+  const db::TableId t = unit.table;
+  if (t >= db_.table_count()) {
+    return {};
   }
   const auto& spec = db_.schema().tables[t];
   if (!spec.dynamic || db_.lock_info(t)) {
-    return result;
+    return {};
   }
-  const std::size_t resume = progress != nullptr ? progress->resume : 0;
-  const bool carried = progress != nullptr && progress->started;
-  const std::uint64_t mark = carried ? progress->mark : db_.write_generation();
-  std::uint64_t new_mark = carried ? progress->new_mark : mark;
+  Installment run(*this, unit, budget);
   // Field generations, not record generations: a group relink rewrites
   // only header link words and cannot change any field value this check
   // reads, so it must not force a content rescan.
+  const bool exhaustive = unit.scan == Scan::Exhaustive;
   if (!exhaustive && db_.table_field_generation(t) <= ranges_watermark_[t]) {
-    ranges_watermark_[t] = mark;
-    return result;
+    return run.finish(&ranges_watermark_[t]);
   }
 
   // Select: records this installment must examine (dirty and not
   // scrub-attested). The skip reasons here book nothing, same as the
   // sequential loop's `continue`s.
   std::vector<db::RecordIndex> selected;
-  for (db::RecordIndex r = static_cast<db::RecordIndex>(resume);
+  for (auto r = static_cast<db::RecordIndex>(run.progress.resume);
        r < spec.num_records; ++r) {
     const std::uint64_t field_gen = db_.field_generation(t, r);
     if (!exhaustive && field_gen <= ranges_watermark_[t]) {
@@ -565,61 +656,16 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
   // Detect (read-only, parallelizable).
   std::vector<RangeVerdict> verdict(selected.size());
   parallel_detect(selected.size(), [&](std::size_t k) {
-    const db::RecordIndex r = selected[k];
-    RangeVerdict& v = verdict[k];
-    const auto header = db::direct::read_header(db_, t, r);
-    if (recently_written(t, r)) {
-      v.kind = RangeVerdict::Kind::Grace;
+    if (recently_written(t, selected[k])) {
+      verdict[k].kind = RangeVerdict::Kind::Grace;
       return;
     }
-    if (header.status == db::kStatusFree) {
-      // Free records must hold exactly their catalog defaults (the API
-      // scrubs them on free) — the strongest possible rule, so the audit
-      // sweep removes latent errors in unused data ("the entire database
-      // is checked for errors periodically", §5.1).
-      v.kind = RangeVerdict::Kind::Free;
-      for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-        ++v.checked;
-        if (db::direct::read_field(db_, t, r, f) !=
-            spec.fields[f].default_value) {
-          v.violations |= std::uint64_t{1} << f;
-        }
-      }
-      return;
-    }
-    if (header.status != db::kStatusActive) {
-      return;  // corrupted status: the structural audit owns this
-    }
-    v.kind = RangeVerdict::Kind::Active;
-    for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-      const auto& field = spec.fields[f];
-      if (!field.has_range()) {
-        continue;
-      }
-      ++v.checked;
-      const std::int32_t value = db::direct::read_field(db_, t, r, f);
-      if (value >= *field.range_min && value <= *field.range_max) {
-        continue;
-      }
-      v.violations |= std::uint64_t{1} << f;
-      if (config_.free_dynamic_on_range_error) {
-        return;  // record will be freed; no further fields are scanned
-      }
-    }
+    verdict[k] = range_verdict(t, selected[k]);
   });
 
   // Merge in record order: cost booking, findings, resets, and frees.
-  const std::size_t grain = std::max<std::size_t>(1, config_.parallel_grain);
-  std::vector<sim::Duration> task_cost((selected.size() + grain - 1) / grain, 0);
-  bool truncated = false;
   for (std::size_t k = 0; k < selected.size(); ++k) {
-    if (budget != kUnlimited && result.cost >= budget && k > 0) {
-      truncated = true;
-      progress->resume = selected[k];
-      progress->mark = mark;
-      progress->new_mark = new_mark;
-      progress->started = true;
-      progress->truncated = true;
+    if (run.stop_at(selected[k])) {
       break;
     }
     const db::RecordIndex r = selected[k];
@@ -630,45 +676,13 @@ CheckResult AuditEngine::ranges_scan(db::TableId t, bool exhaustive,
     if (v.kind == RangeVerdict::Kind::Grace) {
       // Possibly mid-transaction: skipped unverified, so the watermark is
       // held back below its generation and it stays dirty for next cycle.
-      hold_watermark(db_.field_generation(t, r), new_mark);
+      hold_watermark(db_.field_generation(t, r), run.progress.mark);
       continue;
     }
-    const sim::Duration record_cost =
-        static_cast<sim::Duration>(v.checked) * config_.cost_per_field_range;
-    result.cost += record_cost;
-    task_cost[k / grain] += record_cost;
-    for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-      if ((v.violations & (std::uint64_t{1} << f)) == 0) {
-        continue;
-      }
-      const auto& field = spec.fields[f];
-      Finding finding;
-      finding.technique = Technique::RangeCheck;
-      finding.table = t;
-      finding.record = r;
-      finding.field = f;
-      finding.offset = db_.layout().field_offset(t, r, f);
-      finding.length = 4;
-      ++result.findings;
-      // Recovery: reset to the catalog default; in a dynamic table, also
-      // free the record preemptively to stop propagation (§4.3.1).
-      db::direct::write_field(db_, t, r, f, field.default_value);
-      if (v.kind == RangeVerdict::Kind::Active &&
-          config_.free_dynamic_on_range_error) {
-        finding.recovery = Recovery::FreeRecord;
-        report(finding);
-        db::direct::free_record(db_, t, r);
-        break;  // record is gone; stop scanning its fields
-      }
-      finding.recovery = Recovery::ResetField;
-      report(finding);
-    }
+    run.book(k, static_cast<sim::Duration>(v.checked) * config_.cost_per_field_range);
+    run.result.findings += recover_ranges(t, r, v);
   }
-  scan_makespan_ = makespan_of(task_cost);
-  if (!truncated) {
-    ranges_watermark_[t] = new_mark;
-  }
-  return result;
+  return run.finish(&ranges_watermark_[t]);
 }
 
 bool AuditEngine::loop_intact(
@@ -680,20 +694,15 @@ bool AuditEngine::loop_intact(
   db::RecordIndex cur_r = r;
   constexpr int kMaxHops = 8;
   for (int hop = 0; hop < kMaxHops; ++hop) {
-    const auto& spec = db_.schema().tables[cur_t];
-    const auto fk = std::find_if(spec.fields.begin(), spec.fields.end(),
-                                 [](const db::FieldSpec& field) {
-                                   return field.role == db::FieldRole::ForeignKey;
-                                 });
-    if (fk == spec.fields.end()) {
+    const db::FieldId fk = fk_field_[cur_t];
+    if (fk == kNoField) {
       return true;  // chain ends without a loop: nothing to verify
     }
-    const auto fk_index = static_cast<db::FieldId>(fk - spec.fields.begin());
-    const std::int32_t key = db::direct::read_field(db_, cur_t, cur_r, fk_index);
+    const std::int32_t key = db::direct::read_field(db_, cur_t, cur_r, fk);
     if (key <= 0) {
       return false;  // unset/invalid reference
     }
-    const db::TableId next_t = fk->ref_table;
+    const db::TableId next_t = db_.schema().tables[cur_t].fields[fk].ref_table;
     const auto next_r = static_cast<db::RecordIndex>(key - 1);
     if (next_t >= db_.table_count() ||
         next_r >= db_.schema().tables[next_t].num_records) {
@@ -704,16 +713,9 @@ bool AuditEngine::loop_intact(
       return false;  // "lost" record: reference to a freed slot
     }
     // Primary key must match the reference (§4.3.3's correspondence).
-    const auto& next_spec = db_.schema().tables[next_t];
-    const auto pk = std::find_if(next_spec.fields.begin(), next_spec.fields.end(),
-                                 [](const db::FieldSpec& field) {
-                                   return field.role == db::FieldRole::PrimaryKey;
-                                 });
-    if (pk != next_spec.fields.end()) {
-      const auto pk_index = static_cast<db::FieldId>(pk - next_spec.fields.begin());
-      if (db::direct::read_field(db_, next_t, next_r, pk_index) != key) {
-        return false;
-      }
+    const db::FieldId pk = pk_field_[next_t];
+    if (pk != kNoField && db::direct::read_field(db_, next_t, next_r, pk) != key) {
+      return false;
     }
     if (next_t == t && next_r == r) {
       return true;  // loop closed back to the anchor: 1-detectable and intact
@@ -733,13 +735,7 @@ bool AuditEngine::loop_intact(
 void AuditEngine::free_and_terminate(db::TableId t, db::RecordIndex r,
                                      Technique technique) {
   const auto meta = db_.record_meta(t, r);
-  Finding finding;
-  finding.technique = technique;
-  finding.recovery = Recovery::FreeRecord;
-  finding.table = t;
-  finding.record = r;
-  finding.offset = db_.layout().record_offset(t, r);
-  finding.length = db_.layout().table(t).record_size;
+  const Finding finding = record_finding(technique, Recovery::FreeRecord, t, r);
   report(finding);
   db::direct::free_record(db_, t, r);
   if (control_ != nullptr && meta.last_writer != sim::kNoProcess) {
@@ -750,13 +746,6 @@ void AuditEngine::free_and_terminate(db::TableId t, db::RecordIndex r,
   }
 }
 
-CheckResult AuditEngine::check_semantics() {
-  return tally(semantics_scan(true, kUnlimited, nullptr));
-}
-CheckResult AuditEngine::check_semantics_incremental() {
-  return tally(semantics_scan(false, kUnlimited, nullptr));
-}
-
 // The semantic scan stays sequential even when audit_threads > 1: its
 // recovery (freeing a zombie chain) rewrites records that later anchors'
 // walks read, so detection and recovery interleave by design and cannot
@@ -764,25 +753,14 @@ CheckResult AuditEngine::check_semantics_incremental() {
 // truncation uses a flattened (table, record) ordinal as the resume
 // point: walk anchors occupy ordinals [0, total_records_), the orphan
 // sweep's tables occupy [total_records_, total_records_ + table_count).
-CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
-                                        ScanProgress* progress) {
-  CheckResult result;
-  scan_makespan_ = 0;
+CheckResult AuditEngine::semantics_scan(WorkUnit& unit, sim::Duration budget) {
   if (!config_.semantic_check) {
-    return result;
+    return {};
   }
-  const std::size_t resume = progress != nullptr ? progress->resume : 0;
-  const bool carried = progress != nullptr && progress->started;
-  const std::uint64_t mark = carried ? progress->mark : db_.write_generation();
-  std::uint64_t new_mark = carried ? progress->new_mark : mark;
-  bool progressed = false;
-  const auto truncate_at = [&](std::size_t ordinal) {
-    progress->resume = ordinal;
-    progress->mark = mark;
-    progress->new_mark = new_mark;
-    progress->started = true;
-    progress->truncated = true;
-  };
+  Installment run(*this, unit, budget);
+  const bool exhaustive = unit.scan == Scan::Exhaustive;
+  const std::size_t resume = run.progress.resume;
+  std::uint64_t& mark = run.progress.mark;
   std::vector<std::pair<db::TableId, db::RecordIndex>> chain;
 
   // Anchor selection. Exhaustive: every record of every anchor table
@@ -794,10 +772,9 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
   for (db::TableId t = 0; t < db_.table_count(); ++t) {
     walk[t].assign(db_.schema().tables[t].num_records, 0);
   }
-  const auto select = [&](db::TableId t, db::RecordIndex r) {
-    if (t < db_.table_count() && anchor_table_[t] &&
-        r < db_.schema().tables[t].num_records) {
-      walk[t][r] = 1;
+  const auto set_walk = [&](db::TableId t, db::RecordIndex r, char selected) {
+    if (t < walk.size() && anchor_table_[t] && r < walk[t].size()) {
+      walk[t][r] = selected;
     }
   };
   for (db::TableId t = 0; t < db_.table_count(); ++t) {
@@ -810,19 +787,18 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
       if (!exhaustive && db_.field_generation(t, r) <= semantic_watermark_) {
         continue;
       }
-      select(t, r);
+      set_walk(t, r, 1);
       if (!exhaustive) {
         const auto anchor = chain_anchor_[t][r];
         if (anchor.first != db::kNoTable) {
-          select(anchor.first, anchor.second);
+          set_walk(anchor.first, anchor.second, 1);
         }
       }
     }
   }
 
   // Anchored loop checks (§4.3.3).
-  bool truncated = false;
-  for (db::TableId t = 0; t < db_.table_count() && !truncated; ++t) {
+  for (db::TableId t = 0; t < db_.table_count() && !run.progress.truncated; ++t) {
     if (!anchor_table_[t]) {
       continue;
     }
@@ -832,7 +808,7 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
       // skipped walks happen next cycle.
       for (db::RecordIndex r = 0; r < spec.num_records; ++r) {
         if (walk[t][r] && record_ordinal_base_[t] + r >= resume) {
-          hold_watermark(db_.field_generation(t, r), new_mark);
+          hold_watermark(db_.field_generation(t, r), mark);
         }
       }
       continue;
@@ -841,9 +817,7 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
       if (!walk[t][r] || record_ordinal_base_[t] + r < resume) {
         continue;  // below resume: walked by an earlier installment
       }
-      if (budget != kUnlimited && result.cost >= budget && progressed) {
-        truncate_at(record_ordinal_base_[t] + r);
-        truncated = true;
+      if (run.stop_at(record_ordinal_base_[t] + r)) {
         break;
       }
       const auto header = db::direct::read_header(db_, t, r);
@@ -851,11 +825,10 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
         continue;
       }
       if (recently_written(t, r)) {
-        hold_watermark(db_.field_generation(t, r), new_mark);
+        hold_watermark(db_.field_generation(t, r), mark);
         continue;
       }
-      result.cost += config_.cost_per_loop_semantic;
-      progressed = true;
+      run.book(0, config_.cost_per_loop_semantic);
       const bool intact = loop_intact(t, r, chain);
       // Record which anchor each visited chain member belongs to, so a
       // future write to the member re-selects this anchor.
@@ -870,10 +843,7 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
           // Broken loops are deliberately NOT deduplicated: each member's
           // own walk can localize the damage differently.
           for (const auto& [member_t, member_r] : chain) {
-            if (member_t < walk.size() && anchor_table_[member_t] &&
-                member_r < walk[member_t].size()) {
-              walk[member_t][member_r] = 0;
-            }
+            set_walk(member_t, member_r, 0);
           }
         }
         continue;
@@ -886,25 +856,19 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
           });
       if (any_recent) {
         for (const auto& [member_t, member_r] : chain) {
-          hold_watermark(db_.field_generation(member_t, member_r), new_mark);
+          hold_watermark(db_.field_generation(member_t, member_r), mark);
         }
         continue;
       }
-      ++result.findings;
+      ++run.result.findings;
       // Recovery: free the zombie chain and terminate the owning thread —
       // keeps records available at the cost of dropping one call (§4.3.3).
       free_and_terminate(t, r, Technique::SemanticCheck);
       for (std::size_t i = 1; i < chain.size(); ++i) {
-        Finding finding;
-        finding.technique = Technique::SemanticCheck;
-        finding.recovery = Recovery::FreeRecord;
-        finding.table = chain[i].first;
-        finding.record = chain[i].second;
-        finding.offset =
-            db_.layout().record_offset(chain[i].first, chain[i].second);
-        finding.length = db_.layout().table(chain[i].first).record_size;
-        report(finding);
-        db::direct::free_record(db_, chain[i].first, chain[i].second);
+        const auto [member_t, member_r] = chain[i];
+        report(record_finding(Technique::SemanticCheck, Recovery::FreeRecord,
+                              member_t, member_r));
+        db::direct::free_record(db_, member_t, member_r);
       }
     }
   }
@@ -913,17 +877,15 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
   // any semantic relationship are zombies holding limited resources.
   // Budget granularity is one table: its reference scan derives one
   // referenced-set, so it either runs whole or defers whole.
-  for (db::TableId t = 0; t < db_.table_count() && !truncated; ++t) {
+  for (db::TableId t = 0; t < db_.table_count() && !run.progress.truncated; ++t) {
     if (total_records_ + t < resume) {
       continue;  // swept by an earlier installment
     }
-    if (budget != kUnlimited && result.cost >= budget && progressed) {
-      truncate_at(total_records_ + t);
-      truncated = true;
+    if (run.stop_at(total_records_ + t)) {
       break;
     }
     const auto& spec = db_.schema().tables[t];
-    if (!spec.dynamic || !has_pk_[t] || referencing_[t].empty() ||
+    if (!spec.dynamic || pk_field_[t] == kNoField || referencing_[t].empty() ||
         db_.lock_info(t)) {
       continue;
     }
@@ -964,52 +926,38 @@ CheckResult AuditEngine::semantics_scan(bool exhaustive, sim::Duration budget,
         continue;
       }
       if (recently_written(t, r)) {
-        hold_watermark(db_.field_generation(t, r), new_mark);
+        hold_watermark(db_.field_generation(t, r), mark);
         continue;
       }
-      result.cost += config_.cost_per_loop_semantic;
-      progressed = true;
-      ++result.findings;
+      run.book(0, config_.cost_per_loop_semantic);
+      ++run.result.findings;
       free_and_terminate(t, r, Technique::SemanticCheck);
     }
   }
-  scan_makespan_ = result.cost;  // sequential scan: critical path = total
-  if (!truncated) {
-    semantic_watermark_ = new_mark;
-  }
-  return result;
-}
-
-CheckResult AuditEngine::check_selective(db::TableId t) {
-  return tally(selective_scan(t, true));
-}
-CheckResult AuditEngine::check_selective_incremental(db::TableId t) {
-  return tally(selective_scan(t, false));
+  return run.finish(&semantic_watermark_);
 }
 
 // Selective monitoring stays serial and atomic under the budget: its
 // verdicts derive from a whole-table value histogram, so partial scans
 // would change the invariant itself, not just defer work. An overloaded
 // cycle defers the whole unit instead (run_cycle's queue check).
-CheckResult AuditEngine::selective_scan(db::TableId t, bool exhaustive) {
-  CheckResult result;
-  scan_makespan_ = 0;
+CheckResult AuditEngine::selective_scan(WorkUnit& unit) {
+  const db::TableId t = unit.table;
   if (!config_.selective_monitoring || t >= db_.table_count()) {
-    return result;
+    return {};
   }
   const auto& spec = db_.schema().tables[t];
   if (!spec.dynamic || db_.lock_info(t)) {
-    return result;
+    return {};
   }
-  const std::uint64_t mark = db_.write_generation();
-  std::uint64_t new_mark = mark;
+  Installment run(*this, unit, kUnlimited);
   // The derived invariant is a histogram over the WHOLE table, so there is
   // no per-record narrowing — but when nothing in the table changed, the
   // histograms (and the verdicts drawn from them) cannot have changed
   // either, and the table-level generation proves it.
-  if (!exhaustive && db_.table_field_generation(t) <= selective_watermark_[t]) {
-    selective_watermark_[t] = mark;
-    return result;
+  if (unit.scan == Scan::Incremental &&
+      db_.table_field_generation(t) <= selective_watermark_[t]) {
+    return run.finish(&selective_watermark_[t]);
   }
   for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
     const auto& field = spec.fields[f];
@@ -1025,17 +973,17 @@ CheckResult AuditEngine::selective_scan(db::TableId t, bool exhaustive) {
         continue;
       }
       if (recently_written(t, r)) {
-        hold_watermark(db_.field_generation(t, r), new_mark);
+        hold_watermark(db_.field_generation(t, r), run.progress.mark);
         continue;
       }
-      result.cost += config_.cost_per_field_range;
+      run.book(0, config_.cost_per_field_range);
       histogram.add(db::direct::read_field(db_, t, r, f));
     }
     if (histogram.total() < config_.selective_min_records ||
-        histogram.mean_occurrences() < config_.selective_min_mean_occurrences) {
+        histogram.mean_occurrences() < kSelectiveMinMeanOccurrences) {
       continue;  // not enough data / distribution too flat to trust
     }
-    const auto suspects = histogram.suspects(config_.selective_fraction);
+    const auto suspects = histogram.suspects(kSelectiveFraction);
     if (suspects.empty()) {
       continue;
     }
@@ -1048,32 +996,22 @@ CheckResult AuditEngine::selective_scan(db::TableId t, bool exhaustive) {
       if (std::find(suspects.begin(), suspects.end(), value) == suspects.end()) {
         continue;
       }
+      ++run.result.findings;
       // "Further checked by other means": escalate to the semantic audit
       // before acting on a derived (unverified) invariant.
       std::vector<std::pair<db::TableId, db::RecordIndex>> chain;
       if (loop_intact(t, r, chain)) {
         // The record's relationships are intact, but the attribute value
         // is a statistical outlier — reset the field only.
-        Finding finding;
-        finding.technique = Technique::SelectiveMonitor;
-        finding.recovery = Recovery::ResetField;
-        finding.table = t;
-        finding.record = r;
-        finding.field = f;
-        finding.offset = db_.layout().field_offset(t, r, f);
-        finding.length = 4;
-        report(finding);
-        ++result.findings;
+        report(field_finding(Technique::SelectiveMonitor, Recovery::ResetField,
+                             t, r, f));
         db::direct::write_field(db_, t, r, f, field.default_value);
       } else {
-        ++result.findings;
         free_and_terminate(t, r, Technique::SelectiveMonitor);
       }
     }
   }
-  selective_watermark_[t] = new_mark;
-  scan_makespan_ = result.cost;
-  return result;
+  return run.finish(&selective_watermark_[t]);
 }
 
 CheckResult AuditEngine::check_record(db::TableId t, db::RecordIndex r) {
@@ -1100,14 +1038,7 @@ CheckResult AuditEngine::check_record(db::TableId t, db::RecordIndex r) {
     }
   }
   if (header_corrupted(t, r, expected_next)) {
-    Finding finding;
-    finding.technique = Technique::StructuralCheck;
-    finding.recovery = Recovery::RepairHeader;
-    finding.table = t;
-    finding.record = r;
-    finding.offset = db_.layout().record_offset(t, r);
-    finding.length = db::kRecordHeaderSize;
-    report(finding);
+    report(header_finding(t, r));
     ++result.findings;
     db::direct::repair_header(db_, t, r);
     // Short-circuit: the repair decided the record's fate (it may have
@@ -1116,86 +1047,70 @@ CheckResult AuditEngine::check_record(db::TableId t, db::RecordIndex r) {
     return result;
   }
 
-  // Range check of this record only, ignoring the write-grace window: the
-  // triggering write is exactly what is under suspicion.
-  const auto& spec = db_.schema().tables[t];
-  if (config_.range_check && spec.dynamic &&
-      db::direct::read_header(db_, t, r).status == db::kStatusActive) {
-    for (db::FieldId f = 0; f < spec.fields.size(); ++f) {
-      const auto& field = spec.fields[f];
-      if (!field.has_range()) {
-        continue;
-      }
-      result.cost += config_.cost_per_field_range;
-      const std::int32_t value = db::direct::read_field(db_, t, r, f);
-      if (value >= *field.range_min && value <= *field.range_max) {
-        continue;
-      }
-      Finding finding;
-      finding.technique = Technique::RangeCheck;
-      finding.table = t;
-      finding.record = r;
-      finding.field = f;
-      finding.offset = db_.layout().field_offset(t, r, f);
-      finding.length = 4;
-      ++result.findings;
-      db::direct::write_field(db_, t, r, f, field.default_value);
-      if (config_.free_dynamic_on_range_error) {
-        finding.recovery = Recovery::FreeRecord;
-        report(finding);
-        db::direct::free_record(db_, t, r);
-        break;
-      }
-      finding.recovery = Recovery::ResetField;
-      report(finding);
+  // The range scan's rule for this record only, ignoring the write-grace
+  // window: the triggering write is exactly what is under suspicion. Only
+  // an active record is checked — a free one is the periodic sweep's.
+  if (db_.schema().tables[t].dynamic) {
+    const RangeVerdict v = range_verdict(t, r);
+    if (v.kind == RangeVerdict::Kind::Active) {
+      result.cost +=
+          static_cast<sim::Duration>(v.checked) * config_.cost_per_field_range;
+      result.findings += recover_ranges(t, r, v);
     }
   }
   return tally(result);
 }
 
+CheckResult AuditEngine::run_alone(WorkUnit::Kind kind, db::TableId t, Scan scan) {
+  WorkUnit unit{kind, t, scan, {}};
+  return run_unit(unit, kUnlimited);
+}
+
 CheckResult AuditEngine::run_unit(WorkUnit& unit, sim::Duration budget) {
+  scan_makespan_ = 0;
   switch (unit.kind) {
     case WorkUnit::Kind::Static:
-      return tally(static_scan(unit.exhaustive, budget, &unit.progress));
+      return tally(static_scan(unit, budget));
     case WorkUnit::Kind::Structure:
-      return tally(
-          structure_scan(unit.table, unit.exhaustive, budget, &unit.progress));
+      return tally(structure_scan(unit, budget));
     case WorkUnit::Kind::Ranges:
-      return tally(
-          ranges_scan(unit.table, unit.exhaustive, budget, &unit.progress));
+      return tally(ranges_scan(unit, budget));
     case WorkUnit::Kind::Selective:
-      return tally(selective_scan(unit.table, unit.exhaustive));
+      return tally(selective_scan(unit));
     case WorkUnit::Kind::Semantics:
-      return tally(semantics_scan(unit.exhaustive, budget, &unit.progress));
+      return tally(semantics_scan(unit, budget));
   }
   return {};
 }
 
 CheckResult AuditEngine::run_cycle(const std::vector<db::TableId>& order,
-                                   bool exhaustive) {
+                                   Scan scan, const char* span_name) {
+  const auto start = static_cast<std::uint64_t>(clock_());
   // The cycle's work queue: units carried from earlier budget-exhausted
   // cycles first (FIFO — the starvation-freedom guarantee under sustained
   // overload), then this cycle's fresh units in `order`. A fresh unit
   // duplicating a carried (kind, table) is dropped: the carried one
-  // already covers at least its dirty set.
+  // already covers at least its dirty set. A sweep is the exception: its
+  // fresh exhaustive unit upgrades a carried incremental one to
+  // exhaustive, restarted from item 0. The carried unit visits only dirty
+  // data, so running it instead would miss exactly the corruption that
+  // bypassed the store, which the sweep exists to catch.
   std::vector<WorkUnit> queue;
   queue.reserve(carry_.size() + 2 + 3 * order.size());
-  for (auto& unit : carry_) {
-    queue.push_back(unit);
-  }
+  queue.assign(carry_.begin(), carry_.end());
   carry_.clear();
   const auto enqueue_fresh = [&](WorkUnit::Kind kind, db::TableId t) {
-    for (const auto& unit : queue) {
+    for (auto& unit : queue) {
       if (unit.kind == kind && unit.table == t) {
+        if (scan == Scan::Exhaustive && unit.scan == Scan::Incremental) {
+          unit.scan = Scan::Exhaustive;
+          unit.progress = ScanProgress{};
+        }
         return;
       }
     }
-    WorkUnit unit;
-    unit.kind = kind;
-    unit.table = t;
-    unit.exhaustive = exhaustive;  // frozen: a truncated sweep unit still
-                                   // finishes exhaustively next cycle
-    queue.push_back(unit);
+    // Frozen: a truncated sweep unit still finishes exhaustively next cycle.
+    queue.push_back(WorkUnit{kind, t, scan, {}});
   };
   enqueue_fresh(WorkUnit::Kind::Static, db::kNoTable);
   for (const db::TableId t : order) {
@@ -1211,21 +1126,18 @@ CheckResult AuditEngine::run_cycle(const std::vector<db::TableId>& order,
       config_.cycle_budget > 0 ? config_.cycle_budget : kUnlimited;
   CheckResult result;
   sim::Duration makespan = 0;
-  bool exhausted = false;
   for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (budget != kUnlimited && result.cost >= budget) {
+    if (result.cost >= budget) {
       // Out of budget: everything not yet started carries to the next
       // cycle, in order.
-      exhausted = true;
-      for (std::size_t j = i; j < queue.size(); ++j) {
-        carry_.push_back(queue[j]);
-      }
+      ++budget_exhausted_cycles_;
+      obs::count(obs::Counter::audit_budget_exhausted);
+      carry_.insert(carry_.end(), queue.begin() + static_cast<std::ptrdiff_t>(i),
+                    queue.end());
       break;
     }
     WorkUnit& unit = queue[i];
-    const sim::Duration remaining =
-        budget == kUnlimited ? kUnlimited : budget - result.cost;
-    result += run_unit(unit, remaining);
+    result += run_unit(unit, budget - result.cost);
     makespan += scan_makespan_;
     if (unit.progress.truncated) {
       // Partially scanned: the unit re-queues with its resume point; only
@@ -1233,10 +1145,6 @@ CheckResult AuditEngine::run_cycle(const std::vector<db::TableId>& order,
       unit.progress.truncated = false;
       carry_.push_back(unit);
     }
-  }
-  if (exhausted) {
-    ++budget_exhausted_cycles_;
-    obs::count(obs::Counter::audit_budget_exhausted);
   }
   if (!carry_.empty()) {
     deferred_units_total_ += carry_.size();
@@ -1247,22 +1155,19 @@ CheckResult AuditEngine::run_cycle(const std::vector<db::TableId>& order,
   total_makespan_ += makespan;
   obs::observe(obs::Histogram::audit_cycle_latency_us,
                static_cast<std::uint64_t>(makespan));
-  return result;
-}
-
-CheckResult AuditEngine::full_pass(const std::vector<db::TableId>& order) {
-  const auto start = static_cast<std::uint64_t>(clock_());
-  const CheckResult result = run_cycle(order, /*exhaustive=*/true);
   obs::count(obs::Counter::audit_passes);
   obs::observe(obs::Histogram::audit_pass_cost_us,
                static_cast<std::uint64_t>(result.cost));
-  obs::trace_span("audit.full_pass", "audit", start,
+  obs::trace_span(span_name, "audit", start,
                   static_cast<std::uint64_t>(result.cost));
   return result;
 }
 
+CheckResult AuditEngine::full_pass(const std::vector<db::TableId>& order) {
+  return run_cycle(order, Scan::Exhaustive, "audit.full_pass");
+}
+
 CheckResult AuditEngine::incremental_pass(const std::vector<db::TableId>& order) {
-  const auto start = static_cast<std::uint64_t>(clock_());
   ++cycle_index_;
   obs::count(obs::Counter::audit_incremental_cycles);
   const bool sweep = config_.full_sweep_interval != 0 &&
@@ -1275,13 +1180,8 @@ CheckResult AuditEngine::incremental_pass(const std::vector<db::TableId>& order)
   // costs as the baseline pass — which both catches corruption the dirty
   // tracking never saw (raw-memory writes bypassing the store) and
   // advances every watermark, clearing the accumulated dirty state.
-  const CheckResult result = run_cycle(order, sweep);
-  obs::count(obs::Counter::audit_passes);
-  obs::observe(obs::Histogram::audit_pass_cost_us,
-               static_cast<std::uint64_t>(result.cost));
-  obs::trace_span("audit.incremental_pass", "audit", start,
-                  static_cast<std::uint64_t>(result.cost));
-  return result;
+  return run_cycle(order, sweep ? Scan::Exhaustive : Scan::Incremental,
+                   "audit.incremental_pass");
 }
 
 }  // namespace wtc::audit

@@ -33,32 +33,16 @@ namespace wtc::audit {
 
 struct EngineConfig {
   bool static_check = true;
-  bool structural_check = true;
-  bool range_check = true;
   bool semantic_check = true;
   bool selective_monitoring = false;
-
-  /// Range-audit recovery for dynamic tables frees the record preemptively
-  /// to stop error propagation (§4.3.1).
-  bool free_dynamic_on_range_error = true;
 
   /// Records written more recently than this are considered possibly
   /// mid-transaction and skipped by range/semantic checks.
   sim::Duration recent_write_grace = 500 * static_cast<sim::Duration>(sim::kMillisecond);
 
-  /// This many *consecutive* corrupted headers indicate table/record
-  /// misalignment; the whole database is reloaded from disk (§4.3.2).
-  std::uint32_t consecutive_header_threshold = 3;
-
-  /// Selective monitoring: a value is suspect when its occurrence count is
-  /// below `selective_fraction * mean occurrences` (§4.4.2), requiring at
-  /// least `selective_min_records` samples and a peaked distribution.
-  double selective_fraction = 0.3;
+  /// Selective monitoring derives a field's value-frequency invariant only
+  /// from at least this many samples (§4.4.2).
   std::size_t selective_min_records = 12;
-  double selective_min_mean_occurrences = 4.0;
-
-  /// Static-data checksum chunk size: detection (and reload) granularity.
-  std::size_t static_chunk_bytes = 256;
 
   /// Incremental (dirty-tracking) audit: `incremental_pass` scans only
   /// data written through the store since each check's generation
@@ -119,6 +103,25 @@ struct CheckResult {
   }
 };
 
+/// How much of its data a periodic check visits.
+enum class Scan : std::uint8_t {
+  /// Every item: the paper's periodic audit ("the entire database is
+  /// checked", §5.1).
+  Exhaustive,
+  /// Only data written through the store since the check's epoch
+  /// watermark (DESIGN §8). Each scan captures the global write generation
+  /// at its start and adopts it when it completes, so writes that race the
+  /// scan stay dirty for the next one. Records skipped for any other
+  /// reason (write-grace window, table lock) hold the watermark back so
+  /// they are revisited. The content checks (range / selective / semantic)
+  /// consume *field* generations: group relinks rewrite only header link
+  /// words, so link churn does not force content rescans. The range check
+  /// also skips freed records whose scrub attestation stands
+  /// (field_generation == scrub_generation: the fields are catalog
+  /// defaults by construction).
+  Incremental,
+};
+
 class AuditEngine {
  public:
   AuditEngine(db::Database& db, EngineConfig config,
@@ -131,66 +134,50 @@ class AuditEngine {
   /// unsharded). In a sharded deployment each shard owns its own engine;
   /// the stamp is what keeps merged finding streams attributable.
   void set_shard_id(std::uint32_t shard) noexcept { shard_id_ = shard; }
-  [[nodiscard]] std::uint32_t shard_id() const noexcept { return shard_id_; }
+
+  // --- one-shot periodic checks ---
+  // Each runs one work unit of the given scan mode to completion (no
+  // budget), through the same path a budgeted cycle uses.
 
   /// Golden-checksum audit of all static data; recovery reloads corrupted
   /// chunks from disk (§4.3.1).
-  CheckResult check_static();
+  CheckResult check_static(Scan scan = Scan::Exhaustive);
 
   /// Structural audit of one table's record headers (§4.3.2). Single
-  /// errors are repaired in place; `consecutive_header_threshold`
-  /// consecutive corruptions trigger a full database reload.
-  CheckResult check_structure(db::TableId t);
+  /// errors are repaired in place; three consecutive corruptions trigger a
+  /// full database reload.
+  CheckResult check_structure(db::TableId t, Scan scan = Scan::Exhaustive);
 
-  /// Range audit of one dynamic table's active records (§4.3.1).
-  CheckResult check_ranges(db::TableId t);
+  /// Range audit of one dynamic table's records (§4.3.1): active records
+  /// against their catalog ranges (a violation frees the record), free
+  /// records against their catalog defaults (a violation resets the field).
+  CheckResult check_ranges(db::TableId t, Scan scan = Scan::Exhaustive);
 
   /// Referential-integrity audit following the FK loops from every active
   /// anchor record, plus orphan ("zombie") sweep (§4.3.3).
-  CheckResult check_semantics();
+  CheckResult check_semantics(Scan scan = Scan::Exhaustive);
 
   /// Selective attribute monitoring of one table's unruled dynamic fields
   /// (§4.4.2): derive value-frequency invariants, escalate suspects.
-  CheckResult check_selective(db::TableId t);
+  CheckResult check_selective(db::TableId t, Scan scan = Scan::Exhaustive);
 
-  /// Targeted single-record check used by event-triggered audit: header +
-  /// ranges (bypassing the write-grace window — the triggering write is
-  /// the thing under suspicion).
+  /// Targeted single-record check used by event-triggered audit: header,
+  /// then the range scan's verdict for an active record, ignoring the
+  /// write-grace window (the triggering write is the thing under
+  /// suspicion).
   CheckResult check_record(db::TableId t, db::RecordIndex r);
 
   /// Full audit pass over the given table order (the periodic element's
   /// unprioritized cycle): static + per-table structure/ranges/selective +
-  /// semantic loops.
+  /// semantic loops, all exhaustive.
   CheckResult full_pass(const std::vector<db::TableId>& order);
 
-  // --- incremental (dirty-tracking) variants ---
-  // Same detection and recovery logic as the exhaustive checks, but only
-  // data whose write generation exceeds the check's watermark is scanned
-  // (and costed). Watermarks are epoch-based: each scan captures the global
-  // write generation at its start and adopts it at the end, so writes that
-  // race the scan keep generations above the new watermark and stay dirty
-  // for the next cycle. Records skipped for any other reason (write-grace
-  // window, table lock) hold the watermark back so they are revisited.
-  // The content checks (range / selective / semantic) consume *field*
-  // generations: group relinks rewrite only header link words, bumping the
-  // record generation the structural check watches but not the field
-  // generation, so link churn does not force content rescans. The range
-  // check additionally skips freed records whose scrub attestation stands
-  // (field_generation == scrub_generation — fields are catalog defaults by
-  // construction).
-  CheckResult check_static_incremental();
-  CheckResult check_structure_incremental(db::TableId t);
-  CheckResult check_ranges_incremental(db::TableId t);
-  CheckResult check_semantics_incremental();
-  CheckResult check_selective_incremental(db::TableId t);
-
   /// One incremental audit cycle over the given table order. Every
-  /// `full_sweep_interval`-th call runs the exhaustive pass instead (which
-  /// also advances all watermarks) to bound the detection latency of
+  /// `full_sweep_interval`-th call runs its units exhaustively instead
+  /// (which also advances all watermarks) to bound the detection latency of
   /// corruption that bypassed the store's dirty tracking.
   CheckResult incremental_pass(const std::vector<db::TableId>& order);
 
-  [[nodiscard]] std::uint64_t total_findings() const noexcept { return findings_; }
   /// Exhaustive sweeps executed by `incremental_pass` so far.
   [[nodiscard]] std::uint64_t full_sweeps() const noexcept { return full_sweeps_; }
   [[nodiscard]] std::uint64_t incremental_cycles() const noexcept {
@@ -238,6 +225,14 @@ class AuditEngine {
 
  private:
   void report(Finding finding);
+  // Findings spanning a whole record, its header (a structural repair) and
+  // one field.
+  [[nodiscard]] Finding record_finding(Technique technique, Recovery recovery,
+                                       db::TableId t, db::RecordIndex r) const;
+  [[nodiscard]] Finding header_finding(db::TableId t, db::RecordIndex r) const;
+  [[nodiscard]] Finding field_finding(Technique technique, Recovery recovery,
+                                      db::TableId t, db::RecordIndex r,
+                                      db::FieldId f) const;
   [[nodiscard]] bool recently_written(db::TableId t, db::RecordIndex r) const;
   /// Frees `r` and terminates the thread that last wrote it.
   void free_and_terminate(db::TableId t, db::RecordIndex r, Technique technique);
@@ -255,68 +250,72 @@ class AuditEngine {
   /// item index (static chunk / record / flattened semantic ordinal):
   /// items below it were scanned — and booked — by an earlier installment
   /// of the same scan. `mark` is the epoch watermark captured when the
-  /// scan first started; it is adopted only when the scan completes, so
-  /// writes landing between installments stay dirty. `new_mark` carries
-  /// the running skip-holds (grace window, locks) across installments.
+  /// scan first started, held back below every record a skip left
+  /// unverified (grace window, locks); it is adopted only when the scan
+  /// completes, so writes landing between installments stay dirty.
   struct ScanProgress {
     std::size_t resume = 0;
     std::uint64_t mark = 0;
-    std::uint64_t new_mark = 0;
     std::uint32_t consecutive = 0;  ///< structural consecutive-bad run
     bool started = false;
     bool truncated = false;  ///< set by a scan that hit its budget
   };
 
-  /// One schedulable slice of an audit cycle. The cycle's work queue is
-  /// carried units (FIFO) followed by this cycle's fresh units; a unit
-  /// that hits the budget re-queues itself with its ScanProgress.
+  /// One schedulable slice of an audit cycle, and the only way a periodic
+  /// check runs. The cycle's work queue is carried units (FIFO) followed by
+  /// this cycle's fresh units; a unit that hits the budget re-queues
+  /// itself with its ScanProgress.
   struct WorkUnit {
     enum class Kind : std::uint8_t { Static, Structure, Ranges, Selective, Semantics };
     Kind kind = Kind::Static;
     db::TableId table = db::kNoTable;
-    bool exhaustive = false;  ///< frozen at enqueue: a truncated sweep
-                              ///< unit finishes exhaustively next cycle
+    Scan scan = Scan::Exhaustive;  ///< frozen at enqueue: a truncated sweep
+                                   ///< unit finishes exhaustively next cycle
     ScanProgress progress;
   };
 
-  // Shared implementations of the exhaustive/incremental check pairs.
-  // `budget` is the remaining cycle allowance (kUnlimited for the one-shot
-  // public checks); `progress` carries truncation state across cycles
-  // (nullptr for one-shot calls, which never truncate).
-  CheckResult static_scan(bool exhaustive, sim::Duration budget,
-                          ScanProgress* progress);
-  CheckResult structure_scan(db::TableId t, bool exhaustive, sim::Duration budget,
-                             ScanProgress* progress);
-  CheckResult ranges_scan(db::TableId t, bool exhaustive, sim::Duration budget,
-                          ScanProgress* progress);
-  CheckResult semantics_scan(bool exhaustive, sim::Duration budget,
-                             ScanProgress* progress);
-  CheckResult selective_scan(db::TableId t, bool exhaustive);
+  /// Installment bookkeeping shared by every scan (defined in engine.cpp).
+  class Installment;
+
+  // The technique scans, one per WorkUnit::Kind, dispatched by run_unit.
+  // `budget` is the remaining cycle allowance (kUnlimited for one-shot
+  // checks).
+  CheckResult static_scan(WorkUnit& unit, sim::Duration budget);
+  CheckResult structure_scan(WorkUnit& unit, sim::Duration budget);
+  CheckResult ranges_scan(WorkUnit& unit, sim::Duration budget);
+  CheckResult semantics_scan(WorkUnit& unit, sim::Duration budget);
+  CheckResult selective_scan(WorkUnit& unit);
+
+  /// Read-only range verdict of one record (defined in engine.cpp).
+  struct RangeVerdict;
+  /// The range rule of one record, shared by the range scan's detection
+  /// phase and the event check. Ignores the write-grace window: callers
+  /// that honour it test recently_written first.
+  [[nodiscard]] RangeVerdict range_verdict(db::TableId t, db::RecordIndex r) const;
+  /// Range recovery of one record from its verdict, shared by the range
+  /// scan and the event check: an active record's violation frees the
+  /// record, a free record's violations reset their fields. Returns the
+  /// findings reported.
+  std::uint32_t recover_ranges(db::TableId t, db::RecordIndex r,
+                               const RangeVerdict& verdict);
 
   /// Runs `detect(i)` for every i in [0, items) — a read-only verdict
   /// computation with no obs/log/region writes — partitioned into
   /// `parallel_grain`-sized tasks, on the worker pool when
-  /// audit_threads > 1. Returns the task count (counted as
-  /// audit.parallel_tasks whether or not a pool ran them, so the counter
-  /// is identical at any thread count).
-  std::size_t parallel_detect(std::size_t items,
-                              const std::function<void(std::size_t)>& detect);
-  /// Deterministic critical path of `task_costs` greedily assigned (in
-  /// task order, to the least-loaded worker) across audit_threads workers.
-  [[nodiscard]] sim::Duration makespan_of(
-      const std::vector<sim::Duration>& task_costs) const;
+  /// audit_threads > 1. The tasks count as audit.parallel_tasks whether or
+  /// not a pool ran them, so the counter is identical at any thread count.
+  void parallel_detect(std::size_t items,
+                       const std::function<void(std::size_t)>& detect);
 
+  /// Runs one work unit to completion with no budget (the one-shot checks).
+  CheckResult run_alone(WorkUnit::Kind kind, db::TableId t, Scan scan);
   /// Runs one work unit against `budget` remaining cycle allowance;
   /// tallies the scan and updates scan_makespan_.
   CheckResult run_unit(WorkUnit& unit, sim::Duration budget);
-  /// One budgeted, carried, prioritized cycle over the unit queue.
-  CheckResult run_cycle(const std::vector<db::TableId>& order, bool exhaustive);
-  /// A record was skipped without being verified: pull `new_mark` below
-  /// its write generation `gen` so the next incremental scan revisits it.
-  /// Callers pass the generation from the same domain their dirty test
-  /// uses (record_generation for structure, field_generation for the
-  /// content checks).
-  static void hold_watermark(std::uint64_t gen, std::uint64_t& new_mark);
+  /// One budgeted, carried, prioritized cycle over the unit queue, booked
+  /// as one audit pass traced as `span_name`.
+  CheckResult run_cycle(const std::vector<db::TableId>& order, Scan scan,
+                        const char* span_name);
 
   db::Database& db_;
   EngineConfig config_;
@@ -324,7 +323,6 @@ class AuditEngine {
   ReportSink* sink_ = nullptr;
   ClientControl* control_ = nullptr;
   std::uint32_t shard_id_ = 0;
-  std::uint64_t findings_ = 0;
   /// Golden CRCs of static-data chunks, computed from the pristine image.
   struct StaticChunk {
     std::size_t offset;
@@ -349,8 +347,11 @@ class AuditEngine {
   std::vector<std::vector<std::pair<db::TableId, db::FieldId>>> referencing_;
   /// Tables that anchor semantic loop walks (dynamic + FK-bearing).
   std::vector<char> anchor_table_;
-  /// Tables with a PrimaryKey field (orphan-sweep candidates).
-  std::vector<char> has_pk_;
+  /// Per table, its first ForeignKey / PrimaryKey field (or none): the loop
+  /// walk's next hop and the key it must match. Tables with a PrimaryKey
+  /// are the orphan-sweep candidates.
+  std::vector<db::FieldId> fk_field_;
+  std::vector<db::FieldId> pk_field_;
   /// Per-anchor dirty sets: the loop anchor each record last belonged to,
   /// so a write to any chain member re-walks exactly that loop.
   std::vector<std::vector<std::pair<db::TableId, db::RecordIndex>>> chain_anchor_;

@@ -306,25 +306,14 @@ void PeriodicAuditElement::tick(AuditProcess& process) {
   process.scheduler().begin_cycle(db);
 
   CheckResult result;
-  const bool incremental = process.config().engine.incremental;
   if (process.config().one_table_per_tick) {
     const db::TableId t = process.config().prioritized
                               ? process.scheduler().next_prioritized()
                               : process.scheduler().next_round_robin();
-    // One-table mode has no full-sweep cadence of its own: each tick visits
-    // a single table, so the incremental variants alone decide coverage.
-    if (incremental) {
-      result += engine.check_structure_incremental(t);
-      result += engine.check_ranges_incremental(t);
-      if (process.config().engine.selective_monitoring) {
-        result += engine.check_selective_incremental(t);
-      }
-    } else {
-      result += engine.check_structure(t);
-      result += engine.check_ranges(t);
-      if (process.config().engine.selective_monitoring) {
-        result += engine.check_selective(t);
-      }
+    result += engine.check_structure(t);
+    result += engine.check_ranges(t);
+    if (process.config().engine.selective_monitoring) {
+      result += engine.check_selective(t);
     }
   } else {
     std::vector<db::TableId> order;
@@ -355,8 +344,8 @@ void PeriodicAuditElement::tick(AuditProcess& process) {
         order.push_back(static_cast<db::TableId>(t));
       }
     }
-    result = incremental ? engine.incremental_pass(order)
-                         : engine.full_pass(order);
+    result = process.config().engine.incremental ? engine.incremental_pass(order)
+                                                 : engine.full_pass(order);
   }
 
   process.book_cpu(result.cost);

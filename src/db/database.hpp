@@ -70,9 +70,8 @@ struct LockInfo {
 
 class Database {
  public:
-  /// Granularity of the region-wide dirty-chunk generation grid (matches
-  /// the audit engine's default `static_chunk_bytes`, so one static-audit
-  /// chunk maps onto a constant number of dirty chunks).
+  /// Granularity of the region-wide dirty-chunk generation grid. The
+  /// audit engine's static-checksum chunks use the same size.
   static constexpr std::size_t kDirtyChunkBytes = 256;
 
   /// `populate` (optional) runs after the region is formatted and before

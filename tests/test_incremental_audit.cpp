@@ -182,9 +182,9 @@ TEST_F(IncrementalAuditTest, CleanDataCostsNothingAfterWatermarkAdoption) {
 
   // No writes since: every check proves table-level cleanliness from the
   // generation counters and books zero cost.
-  EXPECT_EQ(engine_->check_static_incremental().cost, 0);
-  EXPECT_EQ(engine_->check_structure_incremental(ids_.process).cost, 0);
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).cost, 0);
+  EXPECT_EQ(engine_->check_static(Scan::Incremental).cost, 0);
+  EXPECT_EQ(engine_->check_structure(ids_.process, Scan::Incremental).cost, 0);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).cost, 0);
   const auto second = engine_->incremental_pass(all_tables());
   EXPECT_EQ(second.findings, 0u);
   EXPECT_LT(second.cost, first.cost);
@@ -202,7 +202,7 @@ TEST_F(IncrementalAuditTest, IncrementalRangeAuditCatchesThroughStoreCorruption)
   db::store_i32(db_->region(), at, 99);
   db_->mark_written(at, 4);
 
-  const auto result = engine_->check_ranges_incremental(ids_.connection);
+  const auto result = engine_->check_ranges(ids_.connection, Scan::Incremental);
   EXPECT_EQ(result.findings, 1u);
   EXPECT_EQ(sink_.count(Technique::RangeCheck), 1u);
 }
@@ -211,18 +211,18 @@ TEST_F(IncrementalAuditTest, GraceSkipHoldsWatermarkForNextCycle) {
   const auto [p, c, r] = make_call();
   (void)p;
   (void)r;
-  ASSERT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  ASSERT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 0u);
 
   api_.write_fld(ids_.connection, c, ids_.c_state, 1);  // fresh write
   db::direct::write_field(*db_, ids_.connection, c, ids_.c_state, 99);
   // Still within the write-grace window: the record is skipped unverified,
   // so the scan must hold its watermark below the record's generation.
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 0u);
   advance();
   // No further writes — only the held-back watermark makes the record dirty
   // again. If the scan had adopted its start-of-scan mark unconditionally,
   // this corruption would never be revisited.
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 1u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 1u);
 }
 
 // --- the full-sweep escape hatch for bypass corruption ---
@@ -258,10 +258,47 @@ TEST_F(IncrementalAuditTest, FullSweepCatchesBypassStaticCorruption) {
   const std::size_t at = db_->layout().field_offset(ids_.subscriber, 5, 1);
   db_->region()[at] ^= std::byte{0x01};  // no mark_written
 
-  EXPECT_EQ(engine_->check_static_incremental().findings, 0u);
+  EXPECT_EQ(engine_->check_static(Scan::Incremental).findings, 0u);
   // Cycle 2 sweeps: checksum mismatch found, chunk reloaded from disk.
   EXPECT_EQ(engine_->incremental_pass(all_tables()).findings, 1u);
   EXPECT_EQ(db::load_i32(db_->region(), at), db::subscriber_auth_key(5));
+}
+
+TEST_F(IncrementalAuditTest, SweepUpgradesCarriedIncrementalUnit) {
+  // Under a budget, an incremental Ranges(connection) unit truncated in
+  // cycle 1 is still carried when cycle 2 sweeps. The sweep must upgrade
+  // it to exhaustive and restart it; running it on incrementally would
+  // only visit dirty records and miss corruption that bypassed the store.
+  const auto [p, c, r] = make_call();
+  (void)p;
+  (void)r;
+  make_call(1);
+  make_call(2);
+  // Budget: cycle 1's Static and Structure(connection) units (measured on
+  // an unbudgeted twin, which sees the same all-dirty state) plus one
+  // microsecond, so Ranges(connection) truncates after its first record,
+  // the first call's connection record.
+  AuditEngine twin(*db_, config_, [this]() { return now_; });
+  config_.cycle_budget = twin.check_static(Scan::Incremental).cost +
+                         twin.check_structure(ids_.connection, Scan::Incremental).cost +
+                         1;
+  config_.full_sweep_interval = 2;
+  remake_engine();
+  const std::vector<db::TableId> order{ids_.connection};
+
+  ASSERT_EQ(engine_->incremental_pass(order).findings, 0u);  // cycle 1
+  ASSERT_GT(engine_->carry_depth(), 0u);
+
+  // Raw flip of the verified record, with no dirty stamp.
+  const std::size_t at =
+      db_->layout().field_offset(ids_.connection, c, ids_.c_state);
+  db::store_i32(db_->region(), at, 99);
+
+  (void)engine_->incremental_pass(order);  // cycle 2: the sweep
+  EXPECT_EQ(engine_->full_sweeps(), 1u);
+  (void)engine_->incremental_pass(order);  // cycle 3
+  // Caught before the next sweep (cycle 4) starts.
+  EXPECT_EQ(sink_.count(Technique::RangeCheck), 1u);
 }
 
 // --- scrub attestation on the free paths ---
@@ -278,7 +315,7 @@ TEST_F(IncrementalAuditTest, FreedRecordScrubIsAttestedAndSkipped) {
   // range audit proves the record clean without reading a single field.
   EXPECT_EQ(db_->field_generation(ids_.connection, c),
             db_->scrub_generation(ids_.connection, c));
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 0u);
 
   // Any later field write — legitimate or injected — breaks the attestation.
   const std::size_t at =
@@ -287,7 +324,7 @@ TEST_F(IncrementalAuditTest, FreedRecordScrubIsAttestedAndSkipped) {
   db_->mark_written(at, 4);
   EXPECT_GT(db_->field_generation(ids_.connection, c),
             db_->scrub_generation(ids_.connection, c));
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 1u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 1u);
 }
 
 TEST_F(IncrementalAuditTest, RepairHeaderDropScrubsStaleFields) {
@@ -312,7 +349,7 @@ TEST_F(IncrementalAuditTest, RepairHeaderDropScrubsStaleFields) {
   EXPECT_EQ(db_->field_generation(ids_.connection, c),
             db_->scrub_generation(ids_.connection, c));
   advance();
-  EXPECT_EQ(engine_->check_ranges_incremental(ids_.connection).findings, 0u);
+  EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 0u);
 }
 
 }  // namespace
