@@ -1,4 +1,4 @@
-// Fuzz harnesses over the untrusted input surfaces (ROADMAP item 1):
+// Fuzz harnesses over the untrusted input surfaces (DESIGN §15):
 // on-disk region images, MiniVM instruction streams, IPC frames, and
 // on-disk op logs — the coverage-guided generalization of the paper's
 // hand-rolled fault injection campaigns.

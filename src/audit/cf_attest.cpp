@@ -180,8 +180,10 @@ void CfAttestElement::slice_thread(std::uint32_t thread, sim::Time now) {
     shadow.valid = true;
   }
   if (process_ != nullptr) {
+    // Modelled audit CPU cost per attested transition (µs).
+    constexpr sim::Duration kCostPerTransition = 1;
     process_->book_cpu(static_cast<sim::Duration>(scratch_.size()) *
-                       config_.cost_per_transition);
+                       kCostPerTransition);
   }
   if (clean && op_log_ != nullptr) {
     // Everything this thread did up to `now` is attested clean: the op

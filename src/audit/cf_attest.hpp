@@ -34,8 +34,6 @@ namespace wtc::audit {
 
 struct CfAttestConfig {
   sim::Duration slice_period = 100 * static_cast<sim::Duration>(sim::kMillisecond);
-  /// Modelled audit CPU cost per attested transition (µs).
-  sim::Duration cost_per_transition = 1;
 };
 
 class CfAttestElement final : public AuditElement {

@@ -1,7 +1,6 @@
 #include "audit/priority.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 namespace wtc::audit {
@@ -48,10 +47,7 @@ std::vector<double> PriorityScheduler::shares() const {
                weights_.nature * nature_share;
   }
 
-  // Allocation exponent, then normalize.
-  for (double& s : share) {
-    s = std::pow(s, weights_.exponent);
-  }
+  // Proportional allocation (audit frequency ∝ importance): normalize.
   const double sum = std::accumulate(share.begin(), share.end(), 0.0);
   if (sum > 0) {
     for (double& s : share) {

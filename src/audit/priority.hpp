@@ -20,11 +20,6 @@ struct PriorityWeights {
   double access_frequency = 0.6;  ///< heavily used tables corrupt & propagate more
   double error_history = 0.3;     ///< temporal locality of data errors
   double nature = 0.1;            ///< intrinsic importance of the object
-  /// Allocation exponent: audit frequency ∝ importance^exponent. 1.0 is
-  /// naive proportional allocation; values above 1 concentrate harder on
-  /// the hot tables (whose errors are consumed fastest and therefore
-  /// escape unless audited quickly).
-  double exponent = 1.0;
 };
 
 class PriorityScheduler {

@@ -419,7 +419,7 @@ void LowResourceTriggerElement::scan(AuditProcess& process) {
 // --- ReplayAuditElement ---
 
 void ReplayAuditElement::on_start(AuditProcess& process) {
-  process.schedule_after(process.config().replay_period, [this, &process]() {
+  process.schedule_after(kPeriod, [this, &process]() {
     process.guarded(*this, [this, &process]() { tick(process); });
   });
 }
@@ -436,10 +436,9 @@ void ReplayAuditElement::tick(AuditProcess& process) {
     // accumulated is deferred, so replay can never starve the structural
     // arms of a bounded cycle. A zero budget means "always run".
     const sim::Duration budget = process.config().engine.cycle_budget;
-    const auto& cfg = process.config().replay;
     const sim::Duration estimate = static_cast<sim::Duration>(
         static_cast<double>(log->recorded()) *
-        static_cast<double>(cfg.cost_per_op) * cfg.cost_scale);
+        static_cast<double>(kReplayCostPerOp) * process.config().replay.cost_scale);
     bool run = true;
     if (budget > 0) {
       allowance_ += budget;
@@ -465,7 +464,7 @@ void ReplayAuditElement::tick(AuditProcess& process) {
       process.note_cycle(booked);
     }
   }
-  process.schedule_after(process.config().replay_period, [this, &process]() {
+  process.schedule_after(kPeriod, [this, &process]() {
     process.guarded(*this, [this, &process]() { tick(process); });
   });
 }

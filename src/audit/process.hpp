@@ -81,7 +81,7 @@ struct AuditProcessConfig {
 
   bool heartbeat = true;
 
-  /// Replay audit arm (ROADMAP item 1): periodically re-executes the
+  /// Replay audit arm (DESIGN §16): periodically re-executes the
   /// whole-run op log (deduplicated) against a shadow region and reports
   /// any live-region divergence — the semantic-corruption net the
   /// structural arms cannot cast. Requires `replay_log` (a RunOpLog tee
@@ -89,7 +89,6 @@ struct AuditProcessConfig {
   /// started at the pristine image.
   bool replay_audit = false;
   const db::RunOpLog* replay_log = nullptr;
-  sim::Duration replay_period = 20 * static_cast<sim::Duration>(sim::kSecond);
   ReplayConfig replay;
 
   /// Hierarchical recovery escalation (the 5ESS-style strategy the
@@ -267,7 +266,7 @@ class LowResourceTriggerElement final : public AuditElement {
   std::uint64_t sweeps_triggered_ = 0;
 };
 
-/// Replay audit trigger: every `replay_period`, re-executes the recorded
+/// Replay audit trigger: every kPeriod (20 s), re-executes the recorded
 /// op log against a shadow region (deduplicated chains on the worker
 /// pool) and reports every shadow/live divergence as a ReplayCheck
 /// finding. Cost is booked into the shared CPU under the engine's
@@ -286,6 +285,10 @@ class ReplayAuditElement final : public AuditElement {
   }
 
  private:
+  /// Replay audit period: one deduplicated re-execution of the op log.
+  static constexpr sim::Duration kPeriod =
+      20 * static_cast<sim::Duration>(sim::kSecond);
+
   void tick(AuditProcess& process);
 
   std::optional<ReplayAuditor> auditor_;  ///< built on first tick

@@ -70,6 +70,9 @@ struct MismatchRun {
   std::size_t length = 0;
 };
 
+/// Modelled CPU cost of comparing one compare_grain slice (µs, scaled).
+constexpr std::uint32_t kCostPerCompareChunk = 4;
+
 [[nodiscard]] sim::Duration scaled(std::uint64_t items, std::uint32_t per_item,
                                    double scale) noexcept {
   return static_cast<sim::Duration>(static_cast<double>(items) *
@@ -246,7 +249,7 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   for (std::size_t u = 0; u < uniques.size(); ++u) {
     const std::uint64_t ops = chains[uniques[u]].ops.size();
     stats.executed_ops += ops;
-    chain_costs[u] = scaled(ops, config_.cost_per_op, config_.cost_scale);
+    chain_costs[u] = scaled(ops, kReplayCostPerOp, config_.cost_scale);
   }
   obs::count(obs::Counter::replay_exec_ops, stats.executed_ops);
 
@@ -327,14 +330,14 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   // --- cost model: same µs-and-scale convention as the engine; the
   // makespan is the two parallel phases' critical paths back to back ---
   std::vector<sim::Duration> compare_costs(
-      tasks, scaled(1, config_.cost_per_compare_chunk, config_.cost_scale));
+      tasks, scaled(1, kCostPerCompareChunk, config_.cost_scale));
   const sim::Duration compare_cost =
-      scaled(tasks, config_.cost_per_compare_chunk, config_.cost_scale);
+      scaled(tasks, kCostPerCompareChunk, config_.cost_scale);
   stats.naive_cost =
-      scaled(stats.total_ops, config_.cost_per_op, config_.cost_scale) +
+      scaled(stats.total_ops, kReplayCostPerOp, config_.cost_scale) +
       compare_cost;
   stats.dedup_cost =
-      scaled(stats.executed_ops, config_.cost_per_op, config_.cost_scale) +
+      scaled(stats.executed_ops, kReplayCostPerOp, config_.cost_scale) +
       compare_cost;
   stats.makespan = AuditEngine::greedy_makespan(chain_costs, workers) +
                    AuditEngine::greedy_makespan(compare_costs, workers);

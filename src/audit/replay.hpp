@@ -1,5 +1,5 @@
 // Replay audit arm: deduplicated re-execution of the whole-run op log
-// (ROADMAP item 1, after Tan et al.'s "The Efficient Server Audit
+// (DESIGN §16, after Tan et al.'s "The Efficient Server Audit
 // Problem" — re-execution is the strongest oracle, deduplication is what
 // makes it affordable).
 //
@@ -54,6 +54,10 @@
 
 namespace wtc::audit {
 
+/// Modelled CPU cost of one re-executed op (microseconds, scaled by
+/// ReplayConfig::cost_scale like the engine's per-item costs).
+inline constexpr std::uint32_t kReplayCostPerOp = 8;
+
 struct ReplayConfig {
   /// Worker count for chain execution and the shadow compare (1 = fully
   /// sequential). Results are bit-identical at any value.
@@ -63,10 +67,8 @@ struct ReplayConfig {
   /// depend only on the region, never on the worker count.
   std::size_t compare_grain_bytes = 4096;
 
-  // --- modelled CPU cost (microseconds; same convention as
-  // EngineConfig: per-item costs scaled by cost_scale) ---
-  std::uint32_t cost_per_op = 8;             ///< one re-executed op
-  std::uint32_t cost_per_compare_chunk = 4;  ///< one compare_grain slice
+  /// Scale on the modelled per-item costs (kReplayCostPerOp and the
+  /// compare-slice cost), same convention as EngineConfig::cost_scale.
   double cost_scale = 10.0;
 };
 

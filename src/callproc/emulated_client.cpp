@@ -1,6 +1,7 @@
 #include "callproc/emulated_client.hpp"
 
-#include <algorithm>
+#include <array>
+#include <numeric>
 
 namespace wtc::callproc {
 
@@ -10,12 +11,9 @@ EmulatedLoadClient::EmulatedLoadClient(db::Database& db, sim::Cpu& cpu,
     : db_(db),
       cpu_(cpu),
       rng_(rng),
-      config_(std::move(config)),
+      config_(config),
       api_(db, [this]() { return this->now(); }) {
   api_.set_audit_hooks(sink);
-  for (const std::uint32_t weight : config_.access_ratio) {
-    ratio_total_ += weight;
-  }
 }
 
 void EmulatedLoadClient::on_start() {
@@ -46,12 +44,16 @@ void EmulatedLoadClient::schedule_op(std::uint32_t thread) {
 }
 
 db::TableId EmulatedLoadClient::pick_table() {
-  std::uint64_t pick = rng_.uniform(ratio_total_);
-  for (std::size_t t = 0; t < config_.access_ratio.size(); ++t) {
-    if (pick < config_.access_ratio[t]) {
+  // Table 5: access-frequency ratio 6:5:4:3:2:1 across the six tables.
+  constexpr std::array<std::uint32_t, 6> kAccessRatio = {6, 5, 4, 3, 2, 1};
+  constexpr std::uint32_t kAccessRatioTotal =
+      std::accumulate(kAccessRatio.begin(), kAccessRatio.end(), 0u);
+  std::uint64_t pick = rng_.uniform(kAccessRatioTotal);
+  for (std::size_t t = 0; t < kAccessRatio.size(); ++t) {
+    if (pick < kAccessRatio[t]) {
       return static_cast<db::TableId>(t);
     }
-    pick -= config_.access_ratio[t];
+    pick -= kAccessRatio[t];
   }
   return 0;
 }
@@ -64,7 +66,9 @@ void EmulatedLoadClient::do_op(std::uint32_t thread) {
   const auto field = static_cast<db::FieldId>(rng_.uniform(spec.fields.size()));
   ++operations_;
 
-  if (rng_.uniform01() < config_.write_fraction) {
+  // Share of operations that write (a valid value); the rest read.
+  constexpr double kWriteFraction = 0.5;
+  if (rng_.uniform01() < kWriteFraction) {
     // Legitimate write: a valid value for the field's rule.
     const auto& fs = spec.fields[field];
     std::int32_t value = 0;

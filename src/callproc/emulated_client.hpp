@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "db/api.hpp"
@@ -17,8 +16,6 @@ namespace wtc::callproc {
 struct EmulatedLoadConfig {
   std::uint32_t threads = 16;                          // Table 5
   double ops_per_second_per_thread = 20.0;             // Table 5
-  std::vector<std::uint32_t> access_ratio = {6, 5, 4, 3, 2, 1};  // Table 5
-  double write_fraction = 0.5;
 };
 
 class EmulatedLoadClient final : public sim::Process {
@@ -42,7 +39,6 @@ class EmulatedLoadClient final : public sim::Process {
   EmulatedLoadConfig config_;
   db::DbApi api_;
   std::uint64_t operations_ = 0;
-  std::uint32_t ratio_total_ = 0;
   bool running_ = false;
 };
 

@@ -9,6 +9,9 @@ namespace {
 /// Process record — a peaked attribute distribution that the selective
 /// attribute monitor (§4.4.2) can derive an invariant for.
 constexpr std::int32_t kTaskTokenMagic = 0x7A5C;
+
+/// Allocation attempts per call before the call fails.
+constexpr std::uint32_t kAllocRetries = 2;
 }  // namespace
 
 NativeCallClient::NativeCallClient(db::Database& db, const db::ControllerIds& ids,
@@ -102,7 +105,7 @@ void NativeCallClient::phase_auth(std::uint32_t t) {
     schedule_phase(t, config_.phase_work + cost, &NativeCallClient::phase_alloc);
     return;
   }
-  if (++thread.auth_tries < config_.auth_retries) {
+  if (++thread.auth_tries < kAuthRetries) {
     schedule_phase(t, config_.phase_work + cost, &NativeCallClient::phase_auth);
     return;
   }
@@ -119,7 +122,7 @@ void NativeCallClient::phase_alloc(std::uint32_t t) {
     if (count_failure) {
       ++stats_.alloc_failures;
     }
-    if (++thread.alloc_tries < config_.alloc_retries) {
+    if (++thread.alloc_tries < kAllocRetries) {
       schedule_phase(t, cost, &NativeCallClient::phase_alloc);
     } else {
       finish_call(t, false);
@@ -234,14 +237,13 @@ void NativeCallClient::phase_alloc(std::uint32_t t) {
           rng_.uniform(static_cast<std::uint64_t>(config_.call_duration_max -
                                                   config_.call_duration_min))));
   const std::uint32_t generation = thread.generation;
-  if (config_.move_to_stable_group) {
-    schedule_after(static_cast<sim::Duration>(active_at - now()) + duration / 2,
-                   [this, t, generation]() {
-                     if (running_ && threads_[t].generation == generation) {
-                       phase_move_stable(t);
-                     }
-                   });
-  }
+  // Move long calls to the stable logical group (exercises DBmove).
+  schedule_after(static_cast<sim::Duration>(active_at - now()) + duration / 2,
+                 [this, t, generation]() {
+                   if (running_ && threads_[t].generation == generation) {
+                     phase_move_stable(t);
+                   }
+                 });
   if (config_.supervision_period > 0) {
     schedule_after(static_cast<sim::Duration>(active_at - now()) +
                        config_.supervision_period,

@@ -31,18 +31,18 @@
 
 namespace wtc::callproc {
 
+/// Authentication attempts per call before the call fails (Figure 2's
+/// retry loop); the MiniVM compilation (vm_program.hpp) uses the same.
+inline constexpr std::uint32_t kAuthRetries = 3;
+
 struct CallClientConfig {
   std::uint32_t threads = 16;                       // Table 2
   sim::Duration call_duration_min = 20 * static_cast<sim::Duration>(sim::kSecond);
   sim::Duration call_duration_max = 30 * static_cast<sim::Duration>(sim::kSecond);
   sim::Duration inter_arrival_mean = 10 * static_cast<sim::Duration>(sim::kSecond);
-  std::uint32_t auth_retries = 3;
-  std::uint32_t alloc_retries = 2;
   /// Per-phase non-DB processing cost booked on the CPU (microseconds) —
   /// the work that makes call setup take paper-scale wall time.
   sim::Duration phase_work = 40 * static_cast<sim::Duration>(sim::kMillisecond);
-  /// Move long calls to the stable logical group (exercises DBmove).
-  bool move_to_stable_group = true;
   /// Call-supervision polling: during the active phase the thread re-reads
   /// its connection state and resource power level at this period (0
   /// disables). This is how corrupted data reaches the application

@@ -1,5 +1,6 @@
 #include "callproc/vm_program.hpp"
 
+#include "callproc/native_client.hpp"
 #include "vm/builder.hpp"
 
 namespace wtc::callproc {
@@ -31,6 +32,14 @@ constexpr std::int32_t dGoldFeature = 7;
 constexpr std::int32_t dRemaining = 8;
 
 constexpr std::int32_t kTaskTokenMagic = 0x7A5C;
+
+/// Active-call phase sleep: min + uniform[0, range) microseconds.
+constexpr std::int32_t kActiveSleepMinUs = 200'000;
+constexpr std::int32_t kActiveSleepRangeUs = 100'000;
+constexpr std::int32_t kTxnRetries = 50;
+constexpr std::int32_t kTxnBackoffUs = 2'000;
+/// Inter-function padding between the supplementary-feature handlers.
+constexpr std::uint32_t kPaddingWords = 12;
 }  // namespace
 
 vm::Program build_call_program(const VmProgramParams& params) {
@@ -66,8 +75,8 @@ vm::Program build_call_program(const VmProgramParams& params) {
       .loadi(rZ, 0)
       .beq(rOK, rZ, "call_failed")
       // Active-call phase: hold the connection for its duration.
-      .rand(rDur, params.active_sleep_range_us)
-      .addi(rDur, rDur, params.active_sleep_min_us)
+      .rand(rDur, kActiveSleepRangeUs)
+      .addi(rDur, rDur, kActiveSleepMinUs)
       .sleepr(rDur)
       // Supplementary-feature dispatch through a runtime-determined
       // target (dynamic CFI — the virtual-function-table analog).
@@ -86,7 +95,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
   b.label("call_failed").emit(kEmitCallFailed).ret();
 
   // ---------------- authentication (with Figure-2 retry loop) ----------
-  b.label("auth").loadi(rTry, params.auth_retries);
+  b.label("auth").loadi(rTry, static_cast<std::int32_t>(kAuthRetries));
   b.label("auth_try")
       .rand(rSub, params.num_subscribers)
       .loadi(rT, SUB)
@@ -105,7 +114,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
   b.label("auth_ok").loadi(rOK, 1).ret();
 
   // ---------------- resource allocation + record writes ----------------
-  b.label("setup").loadi(rTry, params.txn_retries);
+  b.label("setup").loadi(rTry, kTxnRetries);
   b.label("txn_try")
       .loadi(rT, P)
       .db_txn_begin(rT)
@@ -133,7 +142,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
       .addi(rTry, rTry, -1)
       .loadi(rZ, 0)
       .beq(rTry, rZ, "setup_fail_nolock")
-      .loadi(rDur, params.txn_backoff_us)
+      .loadi(rDur, kTxnBackoffUs)
       .sleepr(rDur)
       .jmp("txn_try");
 
@@ -321,7 +330,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
     // invoked by the basic service, so errors injected into them are never
     // activated (the paper's sizeable Errors-Not-Activated fraction), and
     // inter-function padding models alignment gaps in the text segment.
-    b.pad(params.padding_words);
+    b.pad(kPaddingWords);
 
     b.label("feature_call_waiting")
         .loadi(rZ, 0)
@@ -343,7 +352,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
         .db_write_fld(rV, rT, rR, ids.c_feature_mask)
         .ret();
     b.label("cw_busy").loadi(rOK, 0).ret();
-    b.pad(params.padding_words);
+    b.pad(kPaddingWords);
 
     b.label("feature_paging")
         .loadi(rZ, 0)
@@ -365,7 +374,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
         .loadi(rOK, 0)
         .ret();
     b.label("page_acked").loadi(rOK, 1).ret();
-    b.pad(params.padding_words);
+    b.pad(kPaddingWords);
 
     b.label("handle_handoff")
         .loadi(rZ, 0)
@@ -390,7 +399,7 @@ vm::Program build_call_program(const VmProgramParams& params) {
         .ret();
     b.label("handoff_keep").loadi(rOK, 1).ret();
     b.label("handoff_notify").loadi(rZ, 0).nop().nop().ret();
-    b.pad(params.padding_words);
+    b.pad(kPaddingWords);
   }
 
   return std::move(b).build(/*data_words=*/64);

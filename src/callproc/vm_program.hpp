@@ -30,17 +30,10 @@ struct VmProgramParams {
   db::ControllerIds ids;
   std::int32_t num_subscribers = 64;
   std::int32_t calls_per_thread = 2;
-  /// Active-call phase sleep: min + uniform[0, range) microseconds.
-  std::int32_t active_sleep_min_us = 200'000;
-  std::int32_t active_sleep_range_us = 100'000;
-  std::int32_t auth_retries = 3;
-  std::int32_t txn_retries = 50;
-  std::int32_t txn_backoff_us = 2'000;
   /// Include the never-invoked supplementary-feature handlers (call
   /// waiting, paging, handoff) plus inter-function padding — cold text the
   /// injector can hit without the error ever activating (§5.1 / §6.1.2).
   bool include_supplementary_features = true;
-  std::uint32_t padding_words = 12;
 };
 
 /// Builds the per-thread call-processing program. Every thread of the

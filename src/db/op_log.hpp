@@ -1,5 +1,5 @@
-// Minimal per-thread DbApi operation log (healing replay feed; seeds
-// ROADMAP item 4's transaction journal).
+// Minimal per-thread DbApi operation log (healing replay feed; DESIGN
+// §12).
 //
 // A NotificationSink tee: every *successful update-class* ApiEvent is
 // recorded under its issuing thread, then forwarded to the chained sink

@@ -1,4 +1,4 @@
-// Whole-run DbApi operation log (ROADMAP's log-replay audit arm; the
+// Whole-run DbApi operation log (DESIGN §16's log-replay audit arm; the
 // whole-run generalization of the per-thread healing feed in op_log.hpp).
 //
 // `RunOpLog` is a NotificationSink tee: every *successful* ApiEvent —

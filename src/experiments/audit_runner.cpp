@@ -61,12 +61,8 @@ AuditRunResult run_audit_experiment(const AuditRunParams& params) {
     return audit_pid;
   };
   if (params.audits_enabled) {
-    if (params.with_manager) {
-      mgr = std::make_shared<manager::Manager>(spawn_audit);
-      node.spawn("manager", mgr);
-    } else {
-      spawn_audit();
-    }
+    mgr = std::make_shared<manager::Manager>(spawn_audit);
+    node.spawn("manager", mgr);
   }
 
   db::NotificationSink* client_sink =

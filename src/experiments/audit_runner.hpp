@@ -23,7 +23,6 @@ struct AuditRunParams {
   /// Table 2 defaults.
   sim::Duration duration = 2000 * static_cast<sim::Duration>(sim::kSecond);
   bool audits_enabled = true;
-  bool with_manager = true;
   /// Spawn the corruption injector (off for clean recording runs: a
   /// clean run's region must be explainable by its op log alone).
   bool injections_enabled = true;

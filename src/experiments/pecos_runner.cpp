@@ -78,7 +78,7 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
 
   std::optional<pecos::CfLog> cf_log;
   if (cf_attest_active || heal_active) {
-    cf_log.emplace(params.cf_log_capacity);
+    cf_log.emplace();  // 256 transitions per thread ring
     if (pecos_monitor != nullptr) {
       pecos_monitor->set_cf_log(&*cf_log);
     } else if (postcheck_monitor != nullptr) {
@@ -96,8 +96,10 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
   audit::CfAttestElement* attest_element = nullptr;
   std::function<void(const audit::CfViolation&)> violation_route;
   if (params.audit || cf_attest_active) {
+    // Audit period compressed to match the shorter runs.
+    constexpr sim::Duration kAuditPeriod = 1 * static_cast<sim::Duration>(sim::kSecond);
     audit::AuditProcessConfig audit_cfg;
-    audit_cfg.period = params.audit_period;
+    audit_cfg.period = kAuditPeriod;
     audit_cfg.event_triggered = params.audit;
     audit_cfg.periodic_enabled = params.audit;
     audit_cfg.progress_indicator = params.audit;

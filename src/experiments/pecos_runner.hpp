@@ -27,8 +27,6 @@ struct PecosRunParams {
   std::int32_t calls_per_thread = 2;
   /// Virtual-time budget per run; exceeding it without completing = hang.
   sim::Duration deadline = 60 * static_cast<sim::Duration>(sim::kSecond);
-  /// Audit period compressed to match the shorter runs.
-  sim::Duration audit_period = 1 * static_cast<sim::Duration>(sim::kSecond);
   std::uint64_t seed = 1;
 
   // --- ACFA extensions (PECOS/PostCheck modes only; both need the CFG
@@ -41,7 +39,6 @@ struct PecosRunParams {
   /// Route CF violations (preemptive and attested) to the active manager,
   /// whose healer restores + replays the thread's records and restarts it.
   bool heal = false;
-  std::uint32_t cf_log_capacity = 256;
 };
 
 struct PecosRunResult {

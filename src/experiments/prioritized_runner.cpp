@@ -19,8 +19,10 @@ PrioritizedRunResult run_prioritized_experiment(const PrioritizedRunParams& para
   inject::CorruptionOracle oracle(db, [&scheduler]() { return scheduler.now(); });
   db.set_observer(&oracle);
 
+  // Table 5: audit frequency "1 table every 5 seconds".
+  constexpr sim::Duration kAuditTick = 5 * static_cast<sim::Duration>(sim::kSecond);
   audit::AuditProcessConfig audit_cfg;
-  audit_cfg.period = params.audit_tick;
+  audit_cfg.period = kAuditTick;
   audit_cfg.one_table_per_tick = true;
   audit_cfg.prioritized = params.prioritized;
   audit_cfg.weights = params.weights;

@@ -23,8 +23,6 @@ struct PrioritizedRunParams {
   /// Temporal error process (Table 5 uses Exponential; Bursty exists for
   /// the error-history ablation).
   inject::ArrivalModel arrival = inject::ArrivalModel::Exponential;
-  /// Table 5: audit frequency "1 table every 5 seconds".
-  sim::Duration audit_tick = 5 * static_cast<sim::Duration>(sim::kSecond);
   callproc::EmulatedLoadConfig load;
   audit::PriorityWeights weights;
   /// Scale 64 puts the hot tables' consumption time on the order of the

@@ -67,8 +67,12 @@ void DbErrorInjector::run_burst(std::uint64_t remaining) {
     schedule_next();
     return;
   }
+  // Intra-burst spacing (exponential mean); the inter-ARRIVAL then spaces
+  // the bursts so the long-run error rate matches the other models.
+  constexpr sim::Duration kBurstSpacing =
+      50 * static_cast<sim::Duration>(sim::kMillisecond);
   schedule_after(static_cast<sim::Duration>(rng_.exponential(
-                     static_cast<double>(config_.burst_spacing))),
+                     static_cast<double>(kBurstSpacing))),
                  [this, remaining]() { run_burst(remaining - 1); });
 }
 

@@ -55,9 +55,6 @@ struct DbInjectorConfig {
   std::uint32_t burst_size = 6;
   /// All flips of a burst land within this byte radius of the first.
   std::size_t burst_radius = 64;
-  /// Intra-burst spacing (exponential mean); the inter-ARRIVAL above then
-  /// spaces the bursts so the long-run error rate matches the other models.
-  sim::Duration burst_spacing = 50 * static_cast<sim::Duration>(sim::kMillisecond);
 };
 
 class DbErrorInjector final : public sim::Process {

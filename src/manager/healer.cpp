@@ -14,15 +14,14 @@ namespace wtc::manager {
 CfHealer::CfHealer(db::Database& db, db::ThreadOpLog& op_log,
                    pecos::CfLog& cf_log, audit::HealableClient& client,
                    audit::ClientControl* control, audit::ReportSink* sink,
-                   std::function<sim::Time()> clock, HealerConfig config)
+                   std::function<sim::Time()> clock)
     : db_(db),
       op_log_(op_log),
       cf_log_(cf_log),
       client_(client),
       control_(control),
       sink_(sink),
-      clock_(std::move(clock)),
-      config_(config) {}
+      clock_(std::move(clock)) {}
 
 bool CfHealer::heal(const audit::CfViolation& violation) {
   const std::uint32_t tid = violation.thread;
@@ -38,6 +37,8 @@ bool CfHealer::heal(const audit::CfViolation& violation) {
     return true;
   }
 
+  // Faults tolerated inside the healing sequence before escalating.
+  constexpr std::uint32_t kMaxHealFaults = 2;
   const sim::Time start = clock_();
   std::uint32_t faults = 0;
   for (;;) {
@@ -47,9 +48,9 @@ bool CfHealer::heal(const audit::CfViolation& violation) {
     } catch (...) {
       ++faults;
       common::log(common::LogLevel::Warn, "manager",
-                  "heal: fault ", faults, "/", config_.max_heal_faults,
+                  "heal: fault ", faults, "/", kMaxHealFaults,
                   " inside healing sequence for thread ", tid);
-      if (faults >= config_.max_heal_faults) {
+      if (faults >= kMaxHealFaults) {
         escalate(violation);
         return false;
       }

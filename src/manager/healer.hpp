@@ -21,7 +21,7 @@
 // Idempotence: the same violating transfer is often reported twice (the
 // preemptive monitor and the attestation slice both see it); a violation
 // no newer than the thread's last completed heal is skipped. If healing
-// itself faults `max_heal_faults` times, the healer escalates to the
+// itself faults twice, the healer escalates to the
 // existing recovery ladder: the client process is killed (ClientControl)
 // and the escalation is reported as a finding.
 #pragma once
@@ -38,11 +38,6 @@
 
 namespace wtc::manager {
 
-struct HealerConfig {
-  /// Faults tolerated inside the healing sequence before escalating.
-  std::uint32_t max_heal_faults = 2;
-};
-
 class CfHealer {
  public:
   /// `control` and `sink` may be null (no escalation target / no report
@@ -50,8 +45,7 @@ class CfHealer {
   /// idempotence stamp.
   CfHealer(db::Database& db, db::ThreadOpLog& op_log, pecos::CfLog& cf_log,
            audit::HealableClient& client, audit::ClientControl* control,
-           audit::ReportSink* sink, std::function<sim::Time()> clock,
-           HealerConfig config = {});
+           audit::ReportSink* sink, std::function<sim::Time()> clock);
 
   /// Runs the healing sequence. Returns true when the thread ends up
   /// healed (including the idempotent already-healed case), false when the
@@ -87,7 +81,6 @@ class CfHealer {
   audit::ClientControl* control_;
   audit::ReportSink* sink_;
   std::function<sim::Time()> clock_;
-  HealerConfig config_;
   std::function<void(std::uint32_t stage)> fault_hook_;
   /// Per-thread sim time of the last completed heal (idempotence guard).
   struct LastHeal {

@@ -9,6 +9,20 @@
 
 namespace wtc::manager {
 
+namespace {
+constexpr sim::Duration kHeartbeatPeriod = 1 * static_cast<sim::Duration>(sim::kSecond);
+/// Reply deadline: missing it means the audit process is dead/hung.
+constexpr sim::Duration kHeartbeatTimeout =
+    3 * static_cast<sim::Duration>(sim::kSecond);
+
+/// Active -> standby peer heartbeat period, and how long the standby
+/// waits without one before declaring the active dead and taking over.
+constexpr sim::Duration kPeerPeriod =
+    500 * static_cast<sim::Duration>(sim::kMillisecond);
+constexpr sim::Duration kPeerTimeout =
+    2500 * static_cast<sim::Duration>(sim::kMillisecond);
+}  // namespace
+
 Manager::Manager(std::function<sim::ProcessId()> spawn_audit,
                  ManagerConfig config, Role role)
     : spawn_audit_(std::move(spawn_audit)), config_(config), role_(role) {}
@@ -23,7 +37,7 @@ void Manager::on_start() {
   } else {
     last_peer_seen_ = now();
     const std::uint64_t gen = ++role_gen_;
-    schedule_after(config_.peer_period, [this, gen]() { watch_peer(gen); });
+    schedule_after(kPeerPeriod, [this, gen]() { watch_peer(gen); });
   }
 }
 
@@ -33,9 +47,9 @@ void Manager::become_active() {
   if (audit_pid_ == sim::kNoProcess || !node().alive(audit_pid_)) {
     spawn_audit_now();
   }
-  schedule_after(config_.heartbeat_period,
+  schedule_after(kHeartbeatPeriod,
                  [this, gen]() { heartbeat_tick(gen); });
-  schedule_after(config_.peer_period, [this, gen]() { peer_tick(gen); });
+  schedule_after(kPeerPeriod, [this, gen]() { peer_tick(gen); });
 }
 
 void Manager::spawn_audit_now() {
@@ -62,12 +76,12 @@ void Manager::heartbeat_tick(std::uint64_t gen) {
   }
 
   const std::uint64_t awaited = seq_;
-  schedule_after(config_.heartbeat_timeout, [this, gen, awaited]() {
+  schedule_after(kHeartbeatTimeout, [this, gen, awaited]() {
     if (role_ == Role::Active && gen == role_gen_) {
       check_reply(awaited);
     }
   });
-  schedule_after(config_.heartbeat_period,
+  schedule_after(kHeartbeatPeriod,
                  [this, gen]() { heartbeat_tick(gen); });
 }
 
@@ -99,14 +113,14 @@ void Manager::peer_tick(std::uint64_t gen) {
     beat.args = {term_, ++peer_seq_, audit_pid_, audit_epoch_};
     node().send(peer_, std::move(beat));
   }
-  schedule_after(config_.peer_period, [this, gen]() { peer_tick(gen); });
+  schedule_after(kPeerPeriod, [this, gen]() { peer_tick(gen); });
 }
 
 void Manager::watch_peer(std::uint64_t gen) {
   if (role_ != Role::Standby || gen != role_gen_) {
     return;
   }
-  if (now() - last_peer_seen_ >= static_cast<sim::Time>(config_.peer_timeout)) {
+  if (now() - last_peer_seen_ >= static_cast<sim::Time>(kPeerTimeout)) {
     // The active manager is dead or partitioned: take over supervision of
     // the audit where it left off (last advertised pid + epoch).
     ++takeovers_;
@@ -119,7 +133,7 @@ void Manager::watch_peer(std::uint64_t gen) {
     become_active();
     return;
   }
-  schedule_after(config_.peer_period, [this, gen]() { watch_peer(gen); });
+  schedule_after(kPeerPeriod, [this, gen]() { watch_peer(gen); });
 }
 
 void Manager::handle_reply(const sim::Message& message) {
@@ -150,7 +164,7 @@ void Manager::handle_peer_heartbeat(const sim::Message& message) {
       term_ = peer_term;
       last_peer_seen_ = now();
       const std::uint64_t gen = ++role_gen_;
-      schedule_after(config_.peer_period, [this, gen]() { watch_peer(gen); });
+      schedule_after(kPeerPeriod, [this, gen]() { watch_peer(gen); });
     }
     return;
   }

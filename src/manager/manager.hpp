@@ -38,18 +38,9 @@ class CfHealer;
 enum class Role : std::uint8_t { Active, Standby };
 
 struct ManagerConfig {
-  sim::Duration heartbeat_period = 1 * static_cast<sim::Duration>(sim::kSecond);
-  /// Reply deadline: missing it means the audit process is dead/hung.
-  sim::Duration heartbeat_timeout = 3 * static_cast<sim::Duration>(sim::kSecond);
-
   /// Run the audit heartbeat over the reliable delivery layer.
   bool reliable_heartbeat = false;
   sim::ReliableConfig reliable;
-
-  /// Active -> standby peer heartbeat period, and how long the standby
-  /// waits without one before declaring the active dead and taking over.
-  sim::Duration peer_period = 500 * static_cast<sim::Duration>(sim::kMillisecond);
-  sim::Duration peer_timeout = 2500 * static_cast<sim::Duration>(sim::kMillisecond);
 };
 
 class Manager final : public sim::Process {

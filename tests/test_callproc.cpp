@@ -115,8 +115,14 @@ TEST(NativeClient, InstrumentedClientSendsNotifications) {
   Env env;
   class CountingSink : public db::NotificationSink {
    public:
-    void on_api_event(const db::ApiEvent&) override { ++events; }
+    void on_api_event(const db::ApiEvent& event) override {
+      ++events;
+      if (event.op == db::ApiOp::Move && event.group == db::kGroupStableCalls) {
+        ++stable_moves;
+      }
+    }
     std::size_t events = 0;
+    std::size_t stable_moves = 0;
   };
   CountingSink sink;
   auto client = std::make_shared<NativeCallClient>(
@@ -124,6 +130,9 @@ TEST(NativeClient, InstrumentedClientSendsNotifications) {
   env.node.spawn("client", client);
   env.scheduler.run_until(30 * sim::kSecond);
   EXPECT_GT(sink.events, 100u);
+  // Every call that stays active long enough moves its connection record
+  // to the stable group (DBmove).
+  EXPECT_GT(sink.stable_moves, 0u);
   // Access statistics maintained for prioritized audit.
   EXPECT_GT(env.db->table_stats(env.ids.process).writes, 0u);
 }
