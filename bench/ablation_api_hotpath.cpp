@@ -4,11 +4,12 @@
 // The paper's database keeps each logical group's records on a linked
 // chain and finds free records by scanning headers, so every mutating API
 // call — DBalloc, DBfree, DBmove — costs O(N_records). The shadow index
-// (db/index.hpp) makes those operations O(log N) without changing a byte
-// of on-region format: the free slot is popped from an ordered set and
-// the chain is spliced by rewriting only the affected link words. Two
-// arms over the Table-5-ratio bench schema (largest table 125 x scale
-// records):
+// (db/index.hpp) makes those operations a few bit scans each without
+// changing a byte of on-region format: the lowest free slot and a
+// record's chain neighbours are found by a word scan of flat two-level
+// bitmaps, and the chain is spliced by rewriting only the affected link
+// words. Two arms over the Table-5-ratio bench schema (largest table
+// 125 x scale records):
 //
 //   splice       LinkMode::Splice — index pop + incremental splice
 //   full_relink  LinkMode::FullRelink — the original scan + chain rebuild

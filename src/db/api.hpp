@@ -91,10 +91,11 @@ class NotificationSink {
 };
 
 /// How the mutating operations (alloc/free/move) maintain the group-chain
-/// invariant. Splice is the production path: O(log N) via the shadow
-/// index, rewriting only the affected link words. FullRelink is the
-/// original O(N_records) scan-and-rebuild, kept as the reference arm the
-/// hot-path ablation (A12) benchmarks and byte-compares against.
+/// invariant. Splice is the production path: the chain neighbours come
+/// from a word scan of the shadow index's bitmaps, and only the affected
+/// link words are rewritten. FullRelink is the original O(N_records)
+/// scan-and-rebuild, kept as the reference arm the hot-path ablation (A12)
+/// benchmarks and byte-compares against.
 enum class LinkMode : std::uint8_t { Splice, FullRelink };
 
 /// Per-connection API handle (one per client process).
@@ -177,7 +178,7 @@ class DbApi {
   /// the audit checks). FullRelink mode only.
   void relink_groups(TableId t);
   /// Restores the chain invariant after this call changed record `r`'s
-  /// group word from `old_group`: an O(log N) index splice in Splice mode
+  /// group word from `old_group`: a bitmap-index splice in Splice mode
   /// (cross-checked and healed first when the database's paranoid mode is
   /// on), the full O(N) rebuild in FullRelink mode. `old_next` is r's link
   /// word as it was before the change.

@@ -31,7 +31,9 @@ void relink_table(Database& db, TableId t);
 /// relink_table — the invariant only depends on group words, a group
 /// change at `r` can only alter those three links, and unchanged words are
 /// not rewritten (so dirty-tracking stamps and oracle overwrite accounting
-/// match too). O(log N_group) via the index instead of O(N_records).
+/// match too). Each neighbour is one masked bit scan of the record's index
+/// word, or of at most N_records/4096 summary words, instead of an
+/// O(N_records) relink.
 void splice_links(Database& db, TableId t, RecordIndex r,
                   std::uint32_t old_group, std::uint32_t old_next);
 

@@ -1,12 +1,17 @@
 // Tests for the shadow group/free index (db/index.hpp) and the O(1)
-// splice hot path built on it: byte-equivalence against the full-relink
-// reference, self-resync through every store write path, and the
+// splice hot path built on it: the bitmaps against an ordered-set
+// reference model, byte-equivalence against the full-relink reference,
+// self-resync through every store write path, and the
 // advisory-index recovery behaviour under raw (store-bypassing)
 // corruption.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <iterator>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,6 +37,164 @@ bool all_indexes_verify(const Database& db) {
     }
   }
   return true;
+}
+
+// --- TableIndex against a std::set reference model ---
+
+/// The membership a TableIndex must report, kept in ordered sets: the
+/// oracle for the bitmap representation.
+struct ReferenceIndex {
+  explicit ReferenceIndex(RecordIndex n)
+      : status(n, kStatusActive), group(n, TableIndex::kNoGroup),
+        group_of(n, TableIndex::kNoGroup) {}
+
+  void sync(RecordIndex r, std::uint32_t s, std::uint32_t g) {
+    status[r] = s;
+    group[r] = g;
+    if (group_of[r] != TableIndex::kNoGroup) {
+      members[group_of[r]].erase(r);
+    }
+    group_of[r] = g < kMaxGroups ? static_cast<std::uint8_t>(g)
+                                 : TableIndex::kNoGroup;
+    if (group_of[r] != TableIndex::kNoGroup) {
+      members[group_of[r]].insert(r);
+    }
+    if (s == kStatusFree) {
+      free.insert(r);
+    } else {
+      free.erase(r);
+    }
+  }
+
+  [[nodiscard]] std::optional<RecordIndex> pred(std::uint32_t g,
+                                                RecordIndex r) const {
+    if (g >= kMaxGroups) {
+      return std::nullopt;
+    }
+    const auto it = members[g].lower_bound(r);
+    if (it == members[g].begin()) {
+      return std::nullopt;
+    }
+    return *std::prev(it);
+  }
+  [[nodiscard]] std::optional<RecordIndex> succ(std::uint32_t g,
+                                                RecordIndex r) const {
+    if (g >= kMaxGroups) {
+      return std::nullopt;
+    }
+    const auto it = members[g].upper_bound(r);
+    if (it == members[g].end()) {
+      return std::nullopt;
+    }
+    return *it;
+  }
+
+  std::vector<std::uint32_t> status, group;  ///< last synced header words
+  std::vector<std::uint8_t> group_of;
+  std::array<std::set<RecordIndex>, kMaxGroups> members;
+  std::set<RecordIndex> free;
+};
+
+/// A group word: mostly the two call groups or the free list, a sparse
+/// tail over the rest so some chains have gaps of thousands of records,
+/// and out-of-range words (kNoGroup among them).
+std::uint32_t random_group(common::Rng& rng) {
+  const auto u = rng.uniform(1000);
+  if (u < 100) {
+    return kGroupFree;
+  }
+  if (u < 450) {
+    return kGroupActiveCalls;
+  }
+  if (u < 750) {
+    return kGroupStableCalls;
+  }
+  if (u < 850) {
+    return 3 + static_cast<std::uint32_t>(rng.uniform(kMaxGroups - 4));
+  }
+  if (u < 852) {
+    return kMaxGroups - 1;
+  }
+  switch (rng.uniform(4)) {
+    case 0:
+      return kMaxGroups;
+    case 1:
+      return TableIndex::kNoGroup;
+    case 2:
+      return 0xFFFFFFFFu;
+    default:
+      return kMaxGroups +
+             static_cast<std::uint32_t>(rng.uniform(0xFFFFFFFFu - kMaxGroups));
+  }
+}
+
+void expect_index_matches(const TableIndex& index, const ReferenceIndex& ref,
+                          RecordIndex n, common::Rng& rng) {
+  const std::optional<RecordIndex> first_free =
+      ref.free.empty() ? std::nullopt : std::optional{*ref.free.begin()};
+  ASSERT_EQ(index.first_free(), first_free);
+  ASSERT_EQ(index.free_count(), ref.free.size());
+  for (std::uint32_t g = 0; g < kMaxGroups; ++g) {
+    ASSERT_EQ(index.member_count(g), ref.members[g].size()) << "group " << g;
+    for (const RecordIndex r : {RecordIndex{0}, n - 1}) {
+      ASSERT_EQ(index.pred(g, r), ref.pred(g, r)) << "pred " << g << "," << r;
+      ASSERT_EQ(index.succ(g, r), ref.succ(g, r)) << "succ " << g << "," << r;
+    }
+  }
+  ASSERT_EQ(index.member_count(kMaxGroups), 0u);
+  for (int probe = 0; probe < 16; ++probe) {
+    const auto r = static_cast<RecordIndex>(rng.uniform(n));
+    const auto g = static_cast<std::uint32_t>(rng.uniform(kMaxGroups + 1));
+    ASSERT_EQ(index.pred(g, r), ref.pred(g, r)) << "pred " << g << "," << r;
+    ASSERT_EQ(index.succ(g, r), ref.succ(g, r)) << "succ " << g << "," << r;
+    ASSERT_EQ(index.group_of(r), ref.group_of[r]) << "record " << r;
+  }
+}
+
+// Word (64) and summary-word (4096) boundaries are crossed both ways: the
+// sizes sit on either side of them, and the sparse groups leave gaps that
+// span several words and summary words.
+TEST(TableIndexModel, MatchesOrderedSetReferenceUnderRandomSyncs) {
+  for (const RecordIndex n : {1u, 63u, 64u, 65u, 4095u, 4096u, 4097u, 70000u}) {
+    SCOPED_TRACE(testing::Message() << n << " records");
+    common::Rng rng(0x7AB1E000u + n);
+    TableIndex index;
+    index.reset(n);
+    ReferenceIndex ref(n);
+    expect_index_matches(index, ref, n, rng);
+    const auto random_status = [&rng]() -> std::uint32_t {
+      if (rng.chance(0.4)) {
+        return kStatusFree;
+      }
+      return rng.chance(0.9) ? kStatusActive : static_cast<std::uint32_t>(rng.next());
+    };
+    // A sweep front to back (every record of a small table, an even
+    // stride over a large one), then random records, some resynced to the
+    // state they already have.
+    const std::uint64_t sweep = std::min<std::uint64_t>(n, 2000);
+    for (std::uint64_t step = 0; step < sweep + 2000; ++step) {
+      const auto r =
+          static_cast<RecordIndex>(step < sweep ? step * n / sweep : rng.uniform(n));
+      const std::uint32_t status = random_status();
+      const std::uint32_t group = random_group(rng);
+      index.sync(r, status, group);
+      ref.sync(r, status, group);
+      expect_index_matches(index, ref, n, rng);
+      if (HasFatalFailure()) {
+        FAIL() << "after step " << step;
+      }
+    }
+    TableIndex rebuilt;
+    rebuilt.reset(n);
+    for (RecordIndex r = 0; r < n; ++r) {
+      rebuilt.sync(r, ref.status[r], ref.group[r]);
+    }
+    EXPECT_TRUE(rebuilt == index);
+    const RecordIndex r = n - 1;
+    rebuilt.sync(r, ref.status[r] == kStatusFree ? kStatusActive : kStatusFree,
+                 ref.group[r]);
+    EXPECT_FALSE(rebuilt == index);
+  }
 }
 
 class IndexTest : public ::testing::Test {
@@ -68,7 +231,7 @@ TEST_F(IndexTest, ApiMutationsKeepIndexInSync) {
   EXPECT_TRUE(db_->verify_index(ids_.process));
   const auto& index = db_->index(ids_.process);
   EXPECT_EQ(index.group_of(a), kGroupStableCalls);
-  EXPECT_TRUE(index.members(kGroupActiveCalls).empty());
+  EXPECT_EQ(index.member_count(kGroupActiveCalls), 0u);
 }
 
 // The heart of the PR: a randomized alloc/free/move campaign driven
@@ -126,6 +289,77 @@ TEST_F(IndexTest, RandomizedCampaignMatchesFullRelinkByteForByte) {
   EXPECT_TRUE(all_indexes_verify(*db_));
 }
 
+// The controller tables hold at most 96 records, so the campaign above
+// never looks for a chain neighbour past its first bitmap words. Here the
+// bench schema's largest table (5,000 records) is first filled past one
+// summary word (4,096 records) and then churned, with sparse groups whose
+// neighbours lie thousands of records away.
+TEST(IndexSpliceAtScale, CampaignMatchesFullRelinkByteForByte) {
+  const BenchSchemaParams params{.scale = 40};
+  Database splice_db(make_bench_schema(params));
+  Database relink_db(make_bench_schema(params));
+  DbApi splice_api(splice_db, []() { return sim::Time{0}; });
+  DbApi relink_api(relink_db, []() { return sim::Time{0}; });
+  relink_api.set_link_mode(LinkMode::FullRelink);
+  splice_api.init(1);
+  relink_api.init(1);
+  const TableId big = 3;
+  ASSERT_EQ(splice_db.layout().table(big).num_records, 5000u);
+  ASSERT_TRUE(regions_equal(splice_db, relink_db));
+
+  common::Rng rng(0x5B11CE40u);
+  const auto pick_group = [&rng]() {
+    // Groups 1 and 2 are dense; 3..15 are sparse chains.
+    return rng.chance(0.9) ? 1 + static_cast<std::uint32_t>(rng.uniform(2))
+                           : 3 + static_cast<std::uint32_t>(rng.uniform(kMaxGroups - 3));
+  };
+  std::vector<std::vector<RecordIndex>> live(splice_db.table_count());
+  std::size_t far_neighbours = 0;  // neighbours in another summary word
+  const int fill = 4500;
+  for (int op = 0; op < fill + 3000; ++op) {
+    const TableId t = op < fill || rng.chance(0.75)
+                          ? big
+                          : static_cast<TableId>(rng.uniform(splice_db.table_count()));
+    auto& records = live[t];
+    const auto kind = op < fill ? 0 : rng.uniform(3);
+    RecordIndex r = 0;
+    if (kind == 0 || records.empty()) {
+      const std::uint32_t group = pick_group();
+      RecordIndex r2 = 0;
+      const Status s1 = splice_api.alloc_rec(t, group, r);
+      ASSERT_EQ(s1, relink_api.alloc_rec(t, group, r2));
+      if (s1 != Status::Ok) {
+        continue;
+      }
+      ASSERT_EQ(r, r2);
+      records.push_back(r);
+    } else {
+      const auto pick = rng.uniform(records.size());
+      r = records[pick];
+      if (kind == 1) {
+        ASSERT_EQ(splice_api.free_rec(t, r), Status::Ok);
+        ASSERT_EQ(relink_api.free_rec(t, r), Status::Ok);
+        records.erase(records.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else {
+        const std::uint32_t group = pick_group();
+        ASSERT_EQ(splice_api.move_rec(t, r, group), Status::Ok);
+        ASSERT_EQ(relink_api.move_rec(t, r, group), Status::Ok);
+      }
+    }
+    ASSERT_TRUE(regions_equal(splice_db, relink_db)) << "after op " << op;
+    ASSERT_TRUE(splice_db.verify_index(t)) << "after op " << op;
+    const auto& index = splice_db.index(t);
+    const std::uint32_t g = index.group_of(r);
+    for (const auto neighbour : {index.pred(g, r), index.succ(g, r)}) {
+      if (neighbour && *neighbour / 4096 != r / 4096) {
+        ++far_neighbours;
+      }
+    }
+  }
+  EXPECT_GT(live[big].size(), 4096u);
+  EXPECT_GT(far_neighbours, 0u);
+}
+
 TEST_F(IndexTest, IndexRebuiltAfterReloadAndInstallImage) {
   RecordIndex r = 0;
   ASSERT_EQ(api_.alloc_rec(ids_.process, kGroupActiveCalls, r), Status::Ok);
@@ -138,13 +372,13 @@ TEST_F(IndexTest, IndexRebuiltAfterReloadAndInstallImage) {
   auto other = make_controller_database();
   ASSERT_TRUE(other->install_image(image));
   EXPECT_TRUE(all_indexes_verify(*other));
-  EXPECT_EQ(other->index(ids_.process).members(kGroupActiveCalls).size(), 1u);
+  EXPECT_EQ(other->index(ids_.process).member_count(kGroupActiveCalls), 1u);
 
   // A full reload-from-disk (recovery escalation) rewinds the region to
   // the pristine image; the resync must follow it back.
   db_->reload_all_from_disk();
   EXPECT_TRUE(all_indexes_verify(*db_));
-  EXPECT_TRUE(db_->index(ids_.process).members(kGroupActiveCalls).empty());
+  EXPECT_EQ(db_->index(ids_.process).member_count(kGroupActiveCalls), 0u);
 }
 
 TEST_F(IndexTest, AuditHeaderRepairResyncsIndex) {
