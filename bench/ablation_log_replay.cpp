@@ -37,7 +37,8 @@
 //        default 64 — the recording run's periodic audit sweeps scan the
 //        scaled region for real, which is exactly the work the replay
 //        engine never does),
-//        --workloads=DIR (default "workloads"),
+//        --workloads=DIR (default: the source tree's workloads/, so the
+//        bench runs from any working directory),
 //        --corruptions=N (semantic phase seeds, default 24),
 //        --min-wall-speedup=X (default 5; smoke runs may relax — timing
 //        noise on a tiny horizon, the byte-identity gate stays exact),
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
   const std::size_t min_wall_speedup =
       bench::flag(argc, argv, "min-wall-speedup", 5);
   const std::string workloads_dir =
-      bench::flag_str(argc, argv, "workloads", "workloads");
+      bench::flag_str(argc, argv, "workloads", WTC_WORKLOADS_DIR);
   const std::string record_out =
       bench::flag_str(argc, argv, "record-out", "BENCH_log_replay.oplog");
   const std::string json_path =

@@ -340,17 +340,26 @@ Status DbApi::write_fld(TableId t, RecordIndex r, FieldId f, std::int32_t value)
 
 namespace {
 
-// Resets record `r`'s data fields to their catalog defaults — the shared
-// tail of alloc (fresh records start from defaults) and free (scrubbing
-// stale call data). One catalog decode for the whole record, not one per
-// field.
-void reset_fields_to_defaults(Database& db, TableId t,
-                              const TableDescriptor& desc, std::size_t at) {
-  const CatalogView catalog(db.region());
-  for (FieldId f = 0; f < desc.num_fields; ++f) {
-    const auto field_desc = catalog.field(t, f);
-    store_i32(db.region(), at + kRecordHeaderSize + static_cast<std::size_t>(f) * 4,
-              field_desc ? field_desc->default_value : 0);
+// Resets the record at `at` to its field defaults as the in-region
+// catalog holds them — the shared tail of alloc (fresh records start from
+// defaults) and free (scrubbing stale call data). `desc` is the table
+// descriptor resolve() validated, and nothing written here or since lies
+// in the catalog header or table descriptors, so the field-descriptor base
+// is computed once. Each default is still read from the region right
+// before its field is written, so catalog corruption reaches the client
+// (§3.2); a descriptor past the region's end resets its field to 0.
+void reset_fields_to_defaults(Database& db, const TableDescriptor& desc,
+                              std::size_t at) {
+  const auto region = db.region();
+  const std::size_t descriptors =
+      kCatalogHeaderSize + CatalogView(region).table_count() * kTableDescriptorSize +
+      static_cast<std::size_t>(desc.first_field_index) * kFieldDescriptorSize;
+  for (std::size_t f = 0; f < desc.num_fields; ++f) {
+    const std::size_t field_at = descriptors + f * kFieldDescriptorSize;
+    const std::int32_t value = field_at + kFieldDescriptorSize <= region.size()
+                                   ? load_i32(region, field_at + 16)  // default
+                                   : 0;
+    store_i32(region, at + kRecordHeaderSize + f * 4, value);
   }
 }
 
@@ -486,7 +495,7 @@ Status DbApi::alloc_rec(TableId t, std::uint32_t group, RecordIndex& out) {
     header.status = kStatusActive;
     header.group = group;
     store_record_header(db_.region(), at, header);
-    reset_fields_to_defaults(db_, t, desc, at);
+    reset_fields_to_defaults(db_, desc, at);
     db_.note_write(at + 4, 8);  // status + group
     db_.note_write(at + kRecordHeaderSize, desc.num_fields * 4);
     splice_or_relink(t, *slot, old_group, old_next);
@@ -526,7 +535,7 @@ Status DbApi::free_rec(TableId t, RecordIndex r) {
     // Scrub the data portion back to catalog defaults so a freed record
     // carries no stale call data (and the audit can verify free records
     // exactly against their defaults).
-    reset_fields_to_defaults(db_, t, desc, at);
+    reset_fields_to_defaults(db_, desc, at);
     db_.note_write(at + 4, 8);  // status + group
     // The field rewrite above is a full scrub to catalog defaults, so the
     // store attests it: the incremental range audit can skip the freed

@@ -30,15 +30,9 @@ Database::Database(Schema schema, const PopulateFn& populate)
   table_gen_.assign(schema_.tables.size(), 0);
   table_header_gen_.assign(schema_.tables.size(), 0);
   table_field_gen_.assign(schema_.tables.size(), 0);
-  record_gen_.reserve(schema_.tables.size());
-  header_gen_.reserve(schema_.tables.size());
-  field_gen_.reserve(schema_.tables.size());
-  scrub_gen_.reserve(schema_.tables.size());
+  gens_.reserve(schema_.tables.size());
   for (const auto& table : schema_.tables) {
-    record_gen_.emplace_back(table.num_records, 0);
-    header_gen_.emplace_back(table.num_records, 0);
-    field_gen_.emplace_back(table.num_records, 0);
-    scrub_gen_.emplace_back(table.num_records, 0);
+    gens_.emplace_back(table.num_records);
   }
 
   // The formatted (and populated) region is authoritative; mirror it.
@@ -75,13 +69,21 @@ bool Database::verify_index(TableId t) const {
 }
 
 void Database::note_write(std::size_t offset, std::size_t len) noexcept {
-  mark_written(offset, len);
+  stamp(offset, len, false);
   if (observer_ != nullptr) {
     observer_->on_legitimate_write(offset, len);
   }
 }
 
-void Database::mark_written(std::size_t offset, std::size_t len) noexcept {
+void Database::note_scrub(std::size_t offset, std::size_t len) noexcept {
+  obs::count(obs::Counter::db_scrubs);
+  stamp(offset, len, true);
+  if (observer_ != nullptr) {
+    observer_->on_legitimate_write(offset, len);
+  }
+}
+
+void Database::stamp(std::size_t offset, std::size_t len, bool scrub) noexcept {
   const std::size_t end = std::min(offset + len, region_.size());
   if (offset >= end) {
     return;
@@ -93,29 +95,35 @@ void Database::mark_written(std::size_t offset, std::size_t len) noexcept {
     chunk_gen_[c] = gen;
     obs::count(obs::Counter::db_dirty_chunk_stamps);
   }
-  const auto [first, last] = layout_.tables_spanning(offset, end - offset);
-  for (TableId t = first; t < last; ++t) {
-    const auto range = layout_.records_overlapping(t, offset, end - offset);
-    if (!range) {
+  // Tables lie back to back in id order: skip those ending before the
+  // span, stop at the first starting at or past its end. Records are
+  // fixed-size, so one division finds the first record the span overlaps.
+  const auto& tables = layout_.tables();
+  for (std::size_t t = 0; t < tables.size() && tables[t].offset < end; ++t) {
+    const auto& tl = tables[t];
+    const std::size_t table_end = tl.offset + tl.record_size * tl.num_records;
+    const std::size_t lo = std::max(offset, tl.offset);
+    const std::size_t hi = std::min(end, table_end);
+    if (lo >= hi) {
       continue;
     }
     table_gen_[t] = gen;
-    const auto& tl = layout_.tables()[t];
-    for (RecordIndex r = range->first; r <= range->second; ++r) {
-      record_gen_[t][r] = gen;
+    auto r = static_cast<RecordIndex>((lo - tl.offset) / tl.record_size);
+    std::size_t rec_at = tl.offset + static_cast<std::size_t>(r) * tl.record_size;
+    for (; rec_at < hi; rec_at += tl.record_size, ++r) {
+      RecordGens& g = gens_[t][r];
+      g.record = gen;
       // The span overlaps this record; it touched the field area iff it
       // reaches past the record header, and the header iff it starts
       // before the field area.
-      const std::size_t rec_at =
-          tl.offset + static_cast<std::size_t>(r) * tl.record_size;
       const std::size_t field_start = rec_at + kRecordHeaderSize;
       if (offset < field_start) {
-        header_gen_[t][r] = gen;
+        g.header = gen;
         table_header_gen_[t] = gen;
         // The write may have changed the status (+4) or group (+8) word —
         // the inputs to this record's shadow-index membership. Re-read
         // both and resync; the region already holds the new bytes (store
-        // paths write first, then note_write/mark_written).
+        // paths write first, then stamp).
         if (offset < rec_at + 12 && end > rec_at + 4) {
           index_[t].sync(r, load_u32(region_, rec_at + 4),
                          load_u32(region_, rec_at + 8));
@@ -123,34 +131,12 @@ void Database::mark_written(std::size_t offset, std::size_t len) noexcept {
         }
       }
       if (end > field_start && tl.num_fields > 0) {
-        field_gen_[t][r] = gen;
+        g.field = gen;
         table_field_gen_[t] = gen;
-      }
-    }
-  }
-}
-
-void Database::note_scrub(std::size_t offset, std::size_t len) noexcept {
-  obs::count(obs::Counter::db_scrubs);
-  note_write(offset, len);
-  const std::size_t end = std::min(offset + len, region_.size());
-  if (offset >= end) {
-    return;
-  }
-  const auto [first, last] = layout_.tables_spanning(offset, end - offset);
-  for (TableId t = first; t < last; ++t) {
-    const auto range = layout_.records_overlapping(t, offset, end - offset);
-    if (!range) {
-      continue;
-    }
-    const auto& tl = layout_.tables()[t];
-    for (RecordIndex r = range->first; r <= range->second; ++r) {
-      const std::size_t field_start = tl.offset +
-                                      static_cast<std::size_t>(r) * tl.record_size +
-                                      kRecordHeaderSize;
-      const std::size_t field_end = field_start + tl.num_fields * 4;
-      if (offset <= field_start && end >= field_end && tl.num_fields > 0) {
-        scrub_gen_[t][r] = write_gen_;
+        if (scrub && offset <= field_start &&
+            end >= field_start + tl.num_fields * 4) {
+          g.scrub = gen;
+        }
       }
     }
   }

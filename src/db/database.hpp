@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "db/index.hpp"
@@ -148,12 +149,13 @@ class Database {
   // injected corruption modelling wild software writes — bumps a global
   // monotonically increasing write generation and stamps it on the touched
   // records, their tables, and the fixed-size dirty chunks covering the
-  // byte span. The incremental audit compares these stamps against the
-  // generation watermark it recorded at its previous scan: stamp greater
-  // than watermark means "written since I last looked" (an epoch-based
-  // dirty bitmap that never needs clearing). Raw-memory corruption that
-  // bypasses the store leaves no stamp — catching it is what the audit's
-  // periodic full sweep is for.
+  // byte span, in one walk that writes each record's stamps as one 32-byte
+  // block (one cache line). The incremental audit compares these stamps
+  // against the generation watermark it recorded at its previous scan:
+  // stamp greater than watermark means "written since I last looked" (an
+  // epoch-based dirty bitmap that never needs clearing). Raw-memory
+  // corruption that bypasses the store leaves no stamp — catching it is
+  // what the audit's periodic full sweep is for.
 
   /// Marks [offset, offset+len) written, then forwards the legitimate-write
   /// notification to the experiment observer. Store write paths call this.
@@ -163,7 +165,9 @@ class Database {
   /// the injector's through-store corruption path (the written bytes are
   /// anything but legitimate, yet a wild write by faulty software does go
   /// through the memory system and is visible to write tracking).
-  void mark_written(std::size_t offset, std::size_t len) noexcept;
+  void mark_written(std::size_t offset, std::size_t len) noexcept {
+    stamp(offset, len, false);
+  }
 
   [[nodiscard]] std::uint64_t write_generation() const noexcept {
     return write_gen_;
@@ -174,14 +178,14 @@ class Database {
   }
   /// Generation of the last store write touching record (t, r).
   [[nodiscard]] std::uint64_t record_generation(TableId t, RecordIndex r) const {
-    return record_gen_.at(t).at(r);
+    return gens_.at(t).at(r).record;
   }
   /// Generation of the last store write touching the 16-byte *header* of
   /// record (t, r). Field-only writes (normal call-data updates) bump
   /// record_generation but not this — letting the structural check ignore
   /// traffic that cannot have changed id/status/group/link words.
   [[nodiscard]] std::uint64_t header_generation(TableId t, RecordIndex r) const {
-    return header_gen_.at(t).at(r);
+    return gens_.at(t).at(r).header;
   }
   /// Generation of the last header write anywhere in table `t`.
   [[nodiscard]] std::uint64_t table_header_generation(TableId t) const {
@@ -193,25 +197,27 @@ class Database {
   /// letting the content checks (range / selective / semantic) ignore
   /// traffic that cannot have changed field values.
   [[nodiscard]] std::uint64_t field_generation(TableId t, RecordIndex r) const {
-    return field_gen_.at(t).at(r);
+    return gens_.at(t).at(r).field;
   }
   /// Generation of the last field-area write anywhere in table `t`.
   [[nodiscard]] std::uint64_t table_field_generation(TableId t) const {
     return table_field_gen_.at(t);
   }
   /// Generation of the last *scrub* of record (t, r): a store write that
-  /// rewrote the record's whole field area with catalog defaults (the
-  /// free-record path). While field_generation == scrub_generation > 0 the
-  /// field bytes equal their defaults by construction (the defaults come
-  /// from the trusted out-of-region schema), so the range check can attest
-  /// the record without reading it; any later field write — including
-  /// through-store corruption — breaks the equality.
+  /// rewrote the record's whole field area with its defaults (the
+  /// free-record paths). While field_generation == scrub_generation > 0 the
+  /// field bytes are the defaults the freeing path wrote — the in-region
+  /// catalog's for DbApi::free_rec, the schema's for the audit's direct
+  /// frees — so the range check can attest the record without reading it;
+  /// any later field write — including through-store corruption — breaks
+  /// the equality.
   [[nodiscard]] std::uint64_t scrub_generation(TableId t, RecordIndex r) const {
-    return scrub_gen_.at(t).at(r);
+    return gens_.at(t).at(r).scrub;
   }
-  /// note_write variant for the free-record scrub: marks the span written,
-  /// then stamps the scrub generation of every record whose whole field
-  /// area lies inside [offset, offset+len).
+  /// note_write variant for the free-record scrub: marks the span written
+  /// and, in the same walk, stamps the scrub generation of every record
+  /// whose whole field area lies inside [offset, offset+len); then
+  /// notifies the observer. Counts obs db.scrubs.
   void note_scrub(std::size_t offset, std::size_t len) noexcept;
   /// True if any store write has touched [offset, offset+len) since
   /// generation `gen` (chunk-granular: may over-approximate within
@@ -231,11 +237,11 @@ class Database {
 
   // --- shadow group/free indexes (O(1) API hot path; see index.hpp) ---
   // One TableIndex per table, living outside the audited region. Kept in
-  // sync by mark_written: a store write overlapping a record's status or
-  // group word re-reads both and resyncs that record's membership — so
-  // the index follows API writes, the audit's header repairs, disk
-  // reloads / image installs, and the injector's through-store corruption
-  // without any caller-side bookkeeping. Raw (store-bypassing) corruption
+  // sync by the stamp walk every store write makes: a write overlapping a
+  // record's status or group word re-reads both and resyncs that record's
+  // membership — so the index follows API writes, the audit's header
+  // repairs, disk reloads / image installs, and the injector's
+  // through-store corruption without any caller-side bookkeeping. Raw (store-bypassing) corruption
   // can desync it; consumers treat it as advisory and rebuild on demand.
 
   [[nodiscard]] const TableIndex& index(TableId t) const { return index_.at(t); }
@@ -274,10 +280,20 @@ class Database {
   std::vector<std::uint64_t> table_gen_;               // per table
   std::vector<std::uint64_t> table_header_gen_;        // per table, headers
   std::vector<std::uint64_t> table_field_gen_;         // per table, field area
-  std::vector<std::vector<std::uint64_t>> record_gen_;  // [table][record]
-  std::vector<std::vector<std::uint64_t>> header_gen_;  // [table][record]
-  std::vector<std::vector<std::uint64_t>> field_gen_;   // [table][record]
-  std::vector<std::vector<std::uint64_t>> scrub_gen_;   // [table][record]
+  /// A record's four generation stamps, kept together so stamping one
+  /// record touches one cache line.
+  struct alignas(32) RecordGens {
+    std::uint64_t record, header, field, scrub;
+  };
+  std::vector<std::vector<RecordGens>> gens_;  // [table][record]
+
+  /// The one walk behind every store write: bumps the write generation,
+  /// stamps the dirty chunks and the tables and records [offset,
+  /// offset+len) overlaps (header and field stamps included), resyncs the
+  /// shadow index of every record whose status or group word it covers,
+  /// and — when `scrub` — the scrub stamp of every record whose whole field
+  /// area it covers.
+  void stamp(std::size_t offset, std::size_t len, bool scrub) noexcept;
 
   std::vector<TableIndex> index_;  // per table, shadow of status/group words
   bool index_cross_check_ = false;

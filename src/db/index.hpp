@@ -25,7 +25,7 @@
 // weakens an audit invariant because it stores no authoritative state —
 // every entry is recomputable from the region's status/group words, which
 // is exactly what rebuild-from-region and the cross-check do. It is kept
-// in sync by Database::mark_written: any store write overlapping a
+// in sync by the Database's stamp walk: any store write overlapping a
 // record's status/group words re-reads them and resyncs that record, so
 // API writes, audit repairs, disk reloads, image installs, and the
 // injector's through-store corruption all update it automatically. Only

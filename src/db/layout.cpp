@@ -1,6 +1,5 @@
 #include "db/layout.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -90,40 +89,6 @@ std::optional<Layout::Location> Layout::locate(std::size_t offset) const noexcep
     }
   }
   return std::nullopt;
-}
-
-std::optional<std::pair<RecordIndex, RecordIndex>> Layout::records_overlapping(
-    TableId t, std::size_t offset, std::size_t len) const noexcept {
-  if (t >= tables_.size() || len == 0) {
-    return std::nullopt;
-  }
-  const auto& tl = tables_[t];
-  const std::size_t table_end = tl.offset + tl.record_size * tl.num_records;
-  const std::size_t lo = std::max(offset, tl.offset);
-  const std::size_t hi = std::min(offset + len, table_end);
-  if (lo >= hi) {
-    return std::nullopt;
-  }
-  return std::make_pair(
-      static_cast<RecordIndex>((lo - tl.offset) / tl.record_size),
-      static_cast<RecordIndex>((hi - 1 - tl.offset) / tl.record_size));
-}
-
-std::pair<TableId, TableId> Layout::tables_spanning(std::size_t offset,
-                                                   std::size_t len) const noexcept {
-  const auto table_end = [](const TableLayout& tl) {
-    return tl.offset + tl.record_size * tl.num_records;
-  };
-  const auto first = std::partition_point(
-      tables_.begin(), tables_.end(),
-      [&](const TableLayout& tl) { return table_end(tl) <= offset; });
-  const std::size_t end = offset + len;
-  auto last = first;
-  while (last != tables_.end() && last->offset < end) {
-    ++last;
-  }
-  return {static_cast<TableId>(first - tables_.begin()),
-          static_cast<TableId>(last - tables_.begin())};
 }
 
 namespace {

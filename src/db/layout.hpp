@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "db/schema.hpp"
@@ -120,22 +119,6 @@ class Layout {
     bool in_header;  ///< offset falls in the record header
   };
   [[nodiscard]] std::optional<Location> locate(std::size_t offset) const noexcept;
-
-  /// Inclusive [first, last] record indices of table `t` overlapping the
-  /// byte span [offset, offset+len); nullopt when the span misses the
-  /// table entirely. Write-time dirty tracking stamps exactly this range.
-  [[nodiscard]] std::optional<std::pair<RecordIndex, RecordIndex>>
-  records_overlapping(TableId t, std::size_t offset,
-                      std::size_t len) const noexcept;
-
-  /// Half-open range [first, last) of the tables whose extents can
-  /// overlap [offset, offset+len). Tables lie back to back in id order, so
-  /// the range starts at the table holding `offset` (found by binary
-  /// search) and stops at the first table starting at or past the span's
-  /// end; every table outside it misses the span. Empty for catalog-only
-  /// spans.
-  [[nodiscard]] std::pair<TableId, TableId> tables_spanning(
-      std::size_t offset, std::size_t len) const noexcept;
 
  private:
   std::size_t region_size_ = 0;

@@ -145,6 +145,55 @@ TEST_F(ApiTest, CatalogCorruptionFailsOperations) {
   EXPECT_EQ(api_.alloc_rec(ids_.process, kGroupActiveCalls, r), Status::Ok);
 }
 
+// Field defaults come from the in-region catalog, read on every alloc and
+// free, so catalog corruption reaches clients (§3.2) — not from the
+// trusted schema.
+TEST_F(ApiTest, AllocAndFreeWriteTheCatalogsCorruptedDefault) {
+  const TableLayout& tl = db_->layout().table(ids_.resource);
+  const std::size_t descriptor =
+      kCatalogHeaderSize + db_->table_count() * kTableDescriptorSize +
+      (tl.first_field_index + ids_.r_power_level) * kFieldDescriptorSize;
+  ASSERT_EQ(load_i32(db_->region(), descriptor + 16), 50);  // the schema's
+  store_i32(db_->region(), descriptor + 16, -7);
+  db_->mark_written(descriptor + 16, 4);
+
+  RecordIndex r = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.resource, kGroupActiveCalls, r), Status::Ok);
+  std::int32_t power = 0;
+  ASSERT_EQ(api_.read_fld(ids_.resource, r, ids_.r_power_level, power), Status::Ok);
+  EXPECT_EQ(power, -7);
+
+  ASSERT_EQ(api_.write_fld(ids_.resource, r, ids_.r_power_level, 60), Status::Ok);
+  ASSERT_EQ(api_.free_rec(ids_.resource, r), Status::Ok);
+  EXPECT_EQ(load_i32(db_->region(),
+                     db_->layout().field_offset(ids_.resource, r, ids_.r_power_level)),
+            -7);
+}
+
+TEST_F(ApiTest, FieldDescriptorsPastTheRegionEndResetFieldsToZero) {
+  // first_field_index (+20 in the table descriptor) pushed so far that
+  // every field descriptor of the table lies past the region's end.
+  const std::size_t table_desc =
+      kCatalogHeaderSize + ids_.resource * kTableDescriptorSize;
+  store_u32(db_->region(), table_desc + 20, 0x7FFFFFFFu);
+  db_->mark_written(table_desc + 20, 4);
+  const TableLayout& tl = db_->layout().table(ids_.resource);
+  const auto expect_fields_zero = [&](RecordIndex r) {
+    for (FieldId f = 0; f < tl.num_fields; ++f) {
+      EXPECT_EQ(load_i32(db_->region(), db_->layout().field_offset(ids_.resource, r, f)),
+                0)
+          << "field " << f;
+    }
+  };
+
+  RecordIndex r = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.resource, kGroupActiveCalls, r), Status::Ok);
+  expect_fields_zero(r);
+  ASSERT_EQ(api_.write_fld(ids_.resource, r, ids_.r_power_level, 60), Status::Ok);
+  ASSERT_EQ(api_.free_rec(ids_.resource, r), Status::Ok);
+  expect_fields_zero(r);
+}
+
 TEST_F(ApiTest, InstrumentedApiNotifiesAndTracksMetadata) {
   CountingSink sink;
   api_.set_audit_hooks(&sink);

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -513,11 +514,11 @@ TEST_F(IndexTest, FullRelinkAllocChargesOneReadPerScannedHeader) {
   EXPECT_EQ(counting.reads, 6);  // headers 0..5 scanned, one charge each
 }
 
-// --- mark_written narrowing: the same stamps as the all-tables loop ---
+// --- the store's stamp walk: the same stamps as the all-tables loop ---
 
 struct Stamps {
   std::vector<std::uint64_t> table, table_header, table_field;
-  std::vector<std::vector<std::uint64_t>> record, header, field;
+  std::vector<std::vector<std::uint64_t>> record, header, field, scrub;
   bool operator==(const Stamps&) const = default;
 };
 
@@ -530,29 +531,48 @@ Stamps read_stamps(const Database& db) {
     auto& record = s.record.emplace_back();
     auto& header = s.header.emplace_back();
     auto& field = s.field.emplace_back();
+    auto& scrub = s.scrub.emplace_back();
     for (RecordIndex r = 0; r < db.layout().table(t).num_records; ++r) {
       record.push_back(db.record_generation(t, r));
       header.push_back(db.header_generation(t, r));
       field.push_back(db.field_generation(t, r));
+      scrub.push_back(db.scrub_generation(t, r));
     }
   }
   return s;
 }
 
-/// The stamps mark_written's earlier loop — records_overlapping on every
-/// table, for every write — leaves after marking [offset, offset+len) with
-/// generation `gen`, starting from `s`. `resyncs` counts the index resyncs
-/// that loop makes.
+/// Inclusive [first, last] record indices of table `t` overlapping the
+/// byte span [offset, end); nullopt when the span misses the table.
+std::optional<std::pair<RecordIndex, RecordIndex>> records_overlapping(
+    const Layout& layout, std::size_t t, std::size_t offset, std::size_t end) {
+  const auto& tl = layout.tables()[t];
+  const std::size_t table_end = tl.offset + tl.record_size * tl.num_records;
+  const std::size_t lo = std::max(offset, tl.offset);
+  const std::size_t hi = std::min(end, table_end);
+  if (lo >= hi) {
+    return std::nullopt;
+  }
+  return std::make_pair(
+      static_cast<RecordIndex>((lo - tl.offset) / tl.record_size),
+      static_cast<RecordIndex>((hi - 1 - tl.offset) / tl.record_size));
+}
+
+/// The stamps a store write of [offset, offset+len) with generation `gen`
+/// leaves, starting from `s`, computed the slow way: every table, every
+/// overlapping record, one rule at a time. A scrub (`scrub` set) also
+/// stamps `gen` as the scrub generation of every record whose whole field
+/// area lies inside the span. `resyncs` counts the index resyncs due.
 Stamps all_tables_loop(const Database& db, Stamps s, std::size_t offset,
-                       std::size_t len, std::uint64_t gen, std::uint64_t& resyncs) {
+                       std::size_t len, bool scrub, std::uint64_t gen,
+                       std::uint64_t& resyncs) {
   const Layout& layout = db.layout();
   const std::size_t end = std::min(offset + len, db.region().size());
   if (offset >= end) {
     return s;
   }
   for (std::size_t t = 0; t < layout.tables().size(); ++t) {
-    const auto range =
-        layout.records_overlapping(static_cast<TableId>(t), offset, end - offset);
+    const auto range = records_overlapping(layout, t, offset, end);
     if (!range) {
       continue;
     }
@@ -563,6 +583,7 @@ Stamps all_tables_loop(const Database& db, Stamps s, std::size_t offset,
       const std::size_t rec_at =
           tl.offset + static_cast<std::size_t>(r) * tl.record_size;
       const std::size_t field_start = rec_at + kRecordHeaderSize;
+      const std::size_t field_end = field_start + tl.num_fields * 4;
       if (offset < field_start) {
         s.header[t][r] = gen;
         s.table_header[t] = gen;
@@ -574,19 +595,24 @@ Stamps all_tables_loop(const Database& db, Stamps s, std::size_t offset,
         s.field[t][r] = gen;
         s.table_field[t] = gen;
       }
+      if (scrub && offset <= field_start && end >= field_end && tl.num_fields > 0) {
+        s.scrub[t][r] = gen;
+      }
     }
   }
   return s;
 }
 
-/// Runs `write` (which must mark exactly [offset, offset+len)) and checks
-/// it stamped what the all-tables loop stamps, made as many index resyncs,
-/// and left every index equal to its region.
+/// Runs `write` (which must mark exactly [offset, offset+len), as a scrub
+/// when `scrub`) and checks it stamped what the all-tables loop stamps,
+/// made as many index resyncs, counted the scrub, and left every index
+/// equal to its region.
 template <typename Write>
 void expect_stamps_like_all_tables_loop(Database& db, std::size_t offset,
-                                        std::size_t len, Write&& write) {
+                                        std::size_t len, bool scrub,
+                                        Write&& write) {
   std::uint64_t expected_resyncs = 0;
-  const Stamps expected = all_tables_loop(db, read_stamps(db), offset, len,
+  const Stamps expected = all_tables_loop(db, read_stamps(db), offset, len, scrub,
                                           db.write_generation() + 1,
                                           expected_resyncs);
   obs::Recorder recorder;
@@ -594,11 +620,23 @@ void expect_stamps_like_all_tables_loop(Database& db, std::size_t offset,
     obs::ScopedRecorder scope(recorder);
     write();
   }
+  const auto snapshot = recorder.snapshot();
   EXPECT_EQ(read_stamps(db), expected) << "span " << offset << "+" << len;
-  EXPECT_EQ(recorder.snapshot().counter(obs::Counter::db_index_resyncs),
-            expected_resyncs)
+  EXPECT_EQ(snapshot.counter(obs::Counter::db_index_resyncs), expected_resyncs)
+      << "span " << offset << "+" << len;
+  EXPECT_EQ(snapshot.counter(obs::Counter::db_scrubs), scrub ? 1u : 0u)
       << "span " << offset << "+" << len;
   EXPECT_TRUE(all_indexes_verify(db)) << "span " << offset << "+" << len;
+}
+
+/// Checks both write kinds over [offset, offset+len): first mark_written,
+/// then note_scrub, each against the all-tables loop.
+void expect_mark_and_scrub_like_all_tables_loop(Database& db, std::size_t offset,
+                                                std::size_t len) {
+  expect_stamps_like_all_tables_loop(db, offset, len, false,
+                                     [&]() { db.mark_written(offset, len); });
+  expect_stamps_like_all_tables_loop(db, offset, len, true,
+                                     [&]() { db.note_scrub(offset, len); });
 }
 
 TEST_F(IndexTest, MarkWrittenAcrossATableBoundaryStampsLikeAllTablesLoop) {
@@ -614,7 +652,7 @@ TEST_F(IndexTest, MarkWrittenAcrossATableBoundaryStampsLikeAllTablesLoop) {
   store_u32(db_->region(), next_rec + 4, kStatusActive);
   const std::size_t offset = last_rec + kRecordHeaderSize + 4;
   const std::size_t len = next_rec + 10 - offset;
-  expect_stamps_like_all_tables_loop(*db_, offset, len,
+  expect_stamps_like_all_tables_loop(*db_, offset, len, false,
                                      [&]() { db_->mark_written(offset, len); });
   EXPECT_EQ(db_->header_generation(next, 0), db_->write_generation());
   EXPECT_EQ(db_->field_generation(ids_.process, a.num_records - 1),
@@ -623,7 +661,7 @@ TEST_F(IndexTest, MarkWrittenAcrossATableBoundaryStampsLikeAllTablesLoop) {
 
 TEST_F(IndexTest, MarkWrittenInsideTheCatalogStampsNoTable) {
   const Stamps before = read_stamps(*db_);
-  expect_stamps_like_all_tables_loop(*db_, 8, 40, [&]() { db_->mark_written(8, 40); });
+  expect_mark_and_scrub_like_all_tables_loop(*db_, 8, 40);
   EXPECT_EQ(read_stamps(*db_), before);
   EXPECT_TRUE(db_->span_written_since(8, 40, db_->write_generation() - 1));
 }
@@ -635,8 +673,11 @@ TEST_F(IndexTest, ReloadAllFromDiskStampsLikeAllTablesLoop) {
     }
   }
   const std::size_t size = db_->region().size();
-  expect_stamps_like_all_tables_loop(*db_, 0, size,
+  expect_stamps_like_all_tables_loop(*db_, 0, size, false,
                                      [&]() { db_->reload_all_from_disk(); });
+  expect_stamps_like_all_tables_loop(*db_, 0, size, true,
+                                     [&]() { db_->note_scrub(0, size); });
+  EXPECT_EQ(db_->scrub_generation(ids_.process, 0), db_->write_generation());
 }
 
 TEST_F(IndexTest, RandomSpansStampLikeAllTablesLoop) {
@@ -645,9 +686,95 @@ TEST_F(IndexTest, RandomSpansStampLikeAllTablesLoop) {
   for (int i = 0; i < 500; ++i) {
     const std::size_t offset = rng.uniform(size + 16);  // some past the end
     const std::size_t len = 1 + rng.uniform(rng.chance(0.1) ? size : 96);
-    expect_stamps_like_all_tables_loop(*db_, offset, len,
-                                       [&]() { db_->mark_written(offset, len); });
+    expect_mark_and_scrub_like_all_tables_loop(*db_, offset, len);
   }
+}
+
+TEST_F(IndexTest, ScrubOfOneFieldAreaStampsLikeAllTablesLoop) {
+  const TableLayout& tl = db_->layout().table(ids_.process);
+  ASSERT_GT(tl.num_fields, 0u);
+  const RecordIndex r = 3;
+  const std::size_t field_start =
+      db_->layout().record_offset(ids_.process, r) + kRecordHeaderSize;
+  const std::size_t field_len = tl.num_fields * 4;
+  expect_mark_and_scrub_like_all_tables_loop(*db_, field_start, field_len);
+  const std::uint64_t scrubbed = db_->write_generation();
+  EXPECT_EQ(db_->scrub_generation(ids_.process, r), scrubbed);
+  EXPECT_EQ(db_->field_generation(ids_.process, r), scrubbed);
+  EXPECT_LT(db_->header_generation(ids_.process, r), scrubbed);
+  // One byte short at either end: the field area is written, not scrubbed.
+  expect_mark_and_scrub_like_all_tables_loop(*db_, field_start + 1, field_len - 1);
+  expect_mark_and_scrub_like_all_tables_loop(*db_, field_start, field_len - 1);
+  EXPECT_EQ(db_->scrub_generation(ids_.process, r), scrubbed);
+  EXPECT_EQ(db_->field_generation(ids_.process, r), db_->write_generation());
+}
+
+TEST_F(IndexTest, ScrubOfWholeRecordStampsLikeAllTablesLoop) {
+  // direct::free_record's shape: header and field area in one scrub.
+  const TableLayout& tl = db_->layout().table(ids_.process);
+  const std::size_t rec_at = db_->layout().record_offset(ids_.process, 5);
+  store_u32(db_->region(), rec_at + 4, kStatusActive);  // a resync to pick up
+  expect_mark_and_scrub_like_all_tables_loop(*db_, rec_at, tl.record_size);
+  EXPECT_EQ(db_->scrub_generation(ids_.process, 5), db_->write_generation());
+  EXPECT_EQ(db_->header_generation(ids_.process, 5), db_->write_generation());
+  EXPECT_EQ(db_->scrub_generation(ids_.process, 4), 0u);
+  EXPECT_EQ(db_->scrub_generation(ids_.process, 6), 0u);
+}
+
+TEST_F(IndexTest, ScrubAcrossATableBoundaryStampsLikeAllTablesLoop) {
+  const TableLayout& a = db_->layout().table(ids_.process);
+  const TableId next = static_cast<TableId>(ids_.process + 1);
+  ASSERT_LT(next, db_->table_count());
+  const TableLayout& b = db_->layout().table(next);
+  ASSERT_GT(b.num_fields, 0u);
+  const std::size_t last_rec =
+      db_->layout().record_offset(ids_.process, a.num_records - 1);
+  const std::size_t next_rec = db_->layout().record_offset(next, 0);
+  ASSERT_EQ(last_rec + a.record_size, next_rec);  // back to back
+  // From the last record's field area through the next table's first one:
+  // both field areas whole, the next table's first header too.
+  const std::size_t offset = last_rec + kRecordHeaderSize;
+  const std::size_t len = next_rec + b.record_size - offset;
+  expect_mark_and_scrub_like_all_tables_loop(*db_, offset, len);
+  const std::uint64_t gen = db_->write_generation();
+  EXPECT_EQ(db_->scrub_generation(ids_.process, a.num_records - 1), gen);
+  EXPECT_EQ(db_->scrub_generation(next, 0), gen);
+  EXPECT_EQ(db_->header_generation(next, 0), gen);
+  // One byte short, the span misses the end of the next table's first
+  // field area: only the process record is scrubbed.
+  expect_mark_and_scrub_like_all_tables_loop(*db_, offset, len - 1);
+  EXPECT_EQ(db_->scrub_generation(ids_.process, a.num_records - 1),
+            db_->write_generation());
+  EXPECT_EQ(db_->scrub_generation(next, 0), gen);
+}
+
+TEST_F(IndexTest, FreeRecAttestsTheScrubUntilTheNextFieldWrite) {
+  RecordIndex r = 0;
+  RecordIndex other = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.process, kGroupActiveCalls, r), Status::Ok);
+  ASSERT_EQ(api_.alloc_rec(ids_.process, kGroupActiveCalls, other), Status::Ok);
+  ASSERT_EQ(api_.write_fld(ids_.process, r, ids_.p_status, 2), Status::Ok);
+  EXPECT_NE(db_->field_generation(ids_.process, r),
+            db_->scrub_generation(ids_.process, r));
+  ASSERT_EQ(api_.free_rec(ids_.process, r), Status::Ok);
+  EXPECT_GT(db_->scrub_generation(ids_.process, r), 0u);
+  EXPECT_EQ(db_->field_generation(ids_.process, r),
+            db_->scrub_generation(ids_.process, r));
+  // A write refused on the freed record writes nothing; writes elsewhere
+  // leave the attestation alone.
+  EXPECT_EQ(api_.write_fld(ids_.process, r, ids_.p_status, 3),
+            Status::RecordNotActive);
+  ASSERT_EQ(api_.write_fld(ids_.process, other, ids_.p_status, 3), Status::Ok);
+  EXPECT_EQ(db_->field_generation(ids_.process, r),
+            db_->scrub_generation(ids_.process, r));
+  // Reallocated and written: the field area is no longer the scrub's.
+  RecordIndex again = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.process, kGroupActiveCalls, again), Status::Ok);
+  ASSERT_EQ(again, r);
+  ASSERT_EQ(api_.write_fld(ids_.process, r, ids_.p_status, 4), Status::Ok);
+  EXPECT_EQ(db_->field_generation(ids_.process, r), db_->write_generation());
+  EXPECT_NE(db_->field_generation(ids_.process, r),
+            db_->scrub_generation(ids_.process, r));
 }
 
 }  // namespace
