@@ -14,11 +14,10 @@
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
-#include "inject/oracle.hpp"
-#include "manager/manager.hpp"
-#include "sim/cpu.hpp"
+#include "experiments/controller_stack.hpp"
 
 using namespace wtc;
+using experiments::Supervision;
 
 namespace {
 
@@ -27,62 +26,18 @@ struct FailoverResult {
   std::uint32_t restarts = 0;
 };
 
-FailoverResult run_one(bool with_manager, sim::Duration kill_every,
+FailoverResult run_one(Supervision supervision, sim::Duration kill_every,
                        std::uint64_t seed) {
-  sim::Scheduler scheduler;
-  sim::Node node(scheduler);
-  sim::Cpu cpu;
-  common::Rng rng(seed);
-
   auto params = bench::table2_params();
-  auto db = db::make_controller_database(params.schema);
-  const auto ids = db::resolve_controller_ids(db->schema());
-  inject::CorruptionOracle oracle(*db, [&]() { return scheduler.now(); });
-  db->set_observer(&oracle);
-  callproc::ClientDirectory directory(node, *db);
-
-  sim::ProcessId audit_pid = sim::kNoProcess;
-  const auto spawn_audit = [&]() {
-    auto process = std::make_shared<audit::AuditProcess>(*db, cpu, params.audit,
-                                                         &oracle, &directory);
-    audit_pid = node.spawn("audit", process);
-    return audit_pid;
-  };
-
-  std::shared_ptr<manager::Manager> mgr;
-  if (with_manager) {
-    mgr = std::make_shared<manager::Manager>(spawn_audit);
-    node.spawn("manager", mgr);
-  } else {
-    spawn_audit();
-  }
-
-  audit::IpcNotificationSink sink(node, [&]() { return audit_pid; });
-  auto client = std::make_shared<callproc::NativeCallClient>(
-      *db, ids, cpu, rng.fork(1), params.client, &sink);
-  const auto client_pid = node.spawn("client", client);
-  directory.register_client(client_pid, client.get());
-
-  auto injector = std::make_shared<inject::DbErrorInjector>(*db, oracle,
-                                                            rng.fork(2),
-                                                            params.injector);
-  node.spawn("injector", injector);
-
-  // The saboteur: periodic audit-process crashes. (Self-scheduling
-  // callback owned by a shared_ptr so it outlives this scope.)
-  if (kill_every > 0) {
-    auto kill = std::make_shared<std::function<void()>>();
-    *kill = [&node, &scheduler, &audit_pid, kill_every, kill]() {
-      if (node.alive(audit_pid)) {
-        node.kill(audit_pid);
-      }
-      scheduler.schedule_after(static_cast<sim::Time>(kill_every), *kill);
-    };
-    scheduler.schedule_after(static_cast<sim::Time>(kill_every), *kill);
-  }
-
-  scheduler.run_until(static_cast<sim::Time>(params.duration));
-  return {oracle.summary(), mgr ? mgr->restarts() : 0};
+  experiments::ControllerStack stack(db::make_controller_database(params.schema),
+                                     seed);
+  stack.add_client_directory();
+  stack.deploy_audit(params.audit, supervision);
+  stack.spawn_native_client(params.client, stack.audit_sink());
+  stack.spawn_db_injector(params.injector);
+  stack.kill_audit_every(kill_every);
+  stack.scheduler().run_until(static_cast<sim::Time>(params.duration));
+  return {stack.oracle().summary(), stack.restarts()};
 }
 
 }  // namespace
@@ -95,13 +50,13 @@ int main(int argc, char** argv) {
 
   struct Row {
     const char* name;
-    bool manager;
+    Supervision supervision;
     sim::Duration kill_every;
   };
   const Row rows[] = {
-      {"No audit crashes (baseline)", true, 0},
-      {"Audit crashes, NO manager", false, kill_every},
-      {"Audit crashes, manager restarts", true, kill_every},
+      {"No audit crashes (baseline)", Supervision::Manager, 0},
+      {"Audit crashes, NO manager", Supervision::None, kill_every},
+      {"Audit crashes, manager restarts", Supervision::Manager, kill_every},
   };
 
   common::TablePrinter table({"Deployment", "Caught %", "Escaped %", "Latent %",
@@ -112,7 +67,7 @@ int main(int argc, char** argv) {
     const auto results = experiments::run_campaign(
         runs,
         [&](std::size_t i) {
-          return run_one(row.manager, row.kill_every, 0xFA170 + i * 31);
+          return run_one(row.supervision, row.kill_every, 0xFA170 + i * 31);
         },
         campaign_options);
     std::size_t injected = 0, caught = 0, escaped = 0, latent = 0;

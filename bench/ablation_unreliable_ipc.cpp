@@ -20,40 +20,30 @@
 //
 // Flags: --runs=N (default 4), --killevery=S (default 300), --csv=FILE
 #include <cstdio>
-#include <optional>
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
-#include "inject/oracle.hpp"
-#include "manager/manager.hpp"
-#include "sim/cpu.hpp"
+#include "experiments/controller_stack.hpp"
 
 using namespace wtc;
+using experiments::Supervision;
 
 namespace {
 
-enum class Deployment { None, SinglePlain, SingleReliable, DuplicatedReliable };
+struct Deployment {
+  const char* name;
+  const char* csv_name;  ///< comma-free variant for the CSV column
+  Supervision supervision;
+  bool reliable;
+};
 
-constexpr const char* name_of(Deployment d) {
-  switch (d) {
-    case Deployment::None: return "no manager";
-    case Deployment::SinglePlain: return "single, plain";
-    case Deployment::SingleReliable: return "single, reliable";
-    case Deployment::DuplicatedReliable: return "duplicated, reliable";
-  }
-  return "?";
-}
-
-/// Comma-free variant for the CSV column.
-constexpr const char* csv_name_of(Deployment d) {
-  switch (d) {
-    case Deployment::None: return "none";
-    case Deployment::SinglePlain: return "single-plain";
-    case Deployment::SingleReliable: return "single-reliable";
-    case Deployment::DuplicatedReliable: return "duplicated-reliable";
-  }
-  return "?";
-}
+constexpr Deployment kDeployments[] = {
+    {"no manager", "none", Supervision::None, false},
+    {"single, plain", "single-plain", Supervision::Manager, false},
+    {"single, reliable", "single-reliable", Supervision::Manager, true},
+    {"duplicated, reliable", "duplicated-reliable", Supervision::ManagerPair,
+     true},
+};
 
 struct CellResult {
   inject::OracleSummary oracle;
@@ -64,13 +54,15 @@ struct CellResult {
   std::uint64_t dead_letters = 0;
 };
 
-CellResult run_one(Deployment deployment, double drop, sim::Duration kill_every,
-                   std::uint64_t seed) {
-  sim::Scheduler scheduler;
-  sim::Node node(scheduler);
-  sim::Cpu cpu;
-  common::Rng rng(seed);
-
+CellResult run_one(const Deployment& deployment, double drop,
+                   sim::Duration kill_every, std::uint64_t seed) {
+  auto params = bench::table2_params();
+  params.audit.reliable_ipc = deployment.reliable;
+  params.audit.reliable.retry_after =
+      100 * static_cast<sim::Duration>(sim::kMillisecond);
+  experiments::ControllerStack stack(db::make_controller_database(params.schema),
+                                     seed);
+  sim::Node& node = stack.node();
   if (drop > 0.0) {
     node.set_channel_faults({.drop_probability = drop,
                              .duplicate_probability = drop / 2,
@@ -78,110 +70,27 @@ CellResult run_one(Deployment deployment, double drop, sim::Duration kill_every,
                                  5 * static_cast<sim::Duration>(sim::kMillisecond),
                              .seed = seed ^ 0xD20Bull});
   }
-
-  auto params = bench::table2_params();
-  const bool reliable = deployment == Deployment::SingleReliable ||
-                        deployment == Deployment::DuplicatedReliable;
-  params.audit.reliable_ipc = reliable;
-  params.audit.reliable.retry_after =
-      100 * static_cast<sim::Duration>(sim::kMillisecond);
-  auto db = db::make_controller_database(params.schema);
-  const auto ids = db::resolve_controller_ids(db->schema());
-  inject::CorruptionOracle oracle(*db, [&]() { return scheduler.now(); });
-  db->set_observer(&oracle);
-  callproc::ClientDirectory directory(node, *db);
-
-  // Unprotected-window bookkeeping: the saboteur stamps the death, the
-  // spawn closure closes the gap. (A spurious restart kills and respawns
-  // in one event, contributing zero.)
-  sim::ProcessId audit_pid = sim::kNoProcess;
-  std::optional<sim::Time> died_at;
-  sim::Time unprotected = 0;
-  const auto spawn_audit = [&]() {
-    if (died_at) {
-      unprotected += scheduler.now() - *died_at;
-      died_at.reset();
-    }
-    auto process = std::make_shared<audit::AuditProcess>(*db, cpu, params.audit,
-                                                         &oracle, &directory);
-    audit_pid = node.spawn("audit", process);
-    return audit_pid;
-  };
-
-  manager::ManagerConfig mgr_config;
-  mgr_config.reliable_heartbeat = reliable;
-  mgr_config.reliable.retry_after =
-      100 * static_cast<sim::Duration>(sim::kMillisecond);
-  std::shared_ptr<manager::Manager> mgr;
-  std::optional<manager::ManagerPair> pair;
-  switch (deployment) {
-    case Deployment::None:
-      spawn_audit();
-      break;
-    case Deployment::SinglePlain:
-    case Deployment::SingleReliable:
-      mgr = std::make_shared<manager::Manager>(spawn_audit, mgr_config);
-      node.spawn("manager", mgr);
-      break;
-    case Deployment::DuplicatedReliable:
-      pair.emplace(manager::spawn_manager_pair(node, spawn_audit, mgr_config));
-      break;
-  }
-
-  std::unique_ptr<db::NotificationSink> sink;
-  if (reliable) {
-    sink = std::make_unique<audit::ReliableIpcSink>(
-        node, [&]() { return audit_pid; }, params.audit.reliable);
-  } else {
-    sink = std::make_unique<audit::IpcNotificationSink>(
-        node, [&]() { return audit_pid; });
-  }
-  auto client = std::make_shared<callproc::NativeCallClient>(
-      *db, ids, cpu, rng.fork(1), params.client, sink.get());
-  const auto client_pid = node.spawn("client", client);
-  directory.register_client(client_pid, client.get());
-
-  auto injector = std::make_shared<inject::DbErrorInjector>(*db, oracle,
-                                                            rng.fork(2),
-                                                            params.injector);
-  node.spawn("injector", injector);
-
-  // The saboteur: periodic audit-process crashes.
-  if (kill_every > 0) {
-    auto kill = std::make_shared<std::function<void()>>();
-    *kill = [&, kill_every, kill]() {
-      if (node.alive(audit_pid)) {
-        node.kill(audit_pid);
-        died_at = scheduler.now();
-      }
-      scheduler.schedule_after(static_cast<sim::Time>(kill_every), *kill);
-    };
-    scheduler.schedule_after(static_cast<sim::Time>(kill_every), *kill);
-  }
+  stack.add_client_directory();
+  stack.deploy_audit(params.audit, deployment.supervision);
+  stack.spawn_native_client(params.client, stack.audit_sink());
+  stack.spawn_db_injector(params.injector);
+  stack.kill_audit_every(kill_every);
 
   // For the duplicated deployment, also crash the ACTIVE manager mid-run:
   // the standby must take over the saboteur-restart duty.
-  if (pair) {
-    scheduler.schedule_after(static_cast<sim::Time>(params.duration) / 2,
-                             [&]() { node.kill(pair->first_pid); });
+  if (const manager::ManagerPair* pair = stack.manager_pair()) {
+    stack.scheduler().schedule_after(static_cast<sim::Time>(params.duration) / 2,
+                                     [&node, pair]() { node.kill(pair->first_pid); });
   }
 
-  scheduler.run_until(static_cast<sim::Time>(params.duration));
-  if (died_at) {  // audit was dead at the end of the run (no manager)
-    unprotected += static_cast<sim::Time>(params.duration) - *died_at;
-  }
+  stack.scheduler().run_until(static_cast<sim::Time>(params.duration));
 
   CellResult result;
-  result.oracle = oracle.summary();
-  result.unprotected = unprotected;
-  if (mgr) {
-    result.restarts = mgr->restarts();
-    result.spurious = mgr->restarts_live();
-  } else if (pair) {
-    result.restarts = pair->restarts();
-    result.spurious = pair->restarts_live();
-    result.takeovers = pair->takeovers();
-  }
+  result.oracle = stack.oracle().summary();
+  result.unprotected = stack.audit_downtime();
+  result.restarts = stack.restarts();
+  result.spurious = stack.restarts_live();
+  result.takeovers = stack.takeovers();
   result.dead_letters = node.dead_letter_count();
   return result;
 }
@@ -196,9 +105,6 @@ int main(int argc, char** argv) {
   bench::campaign_init(argc, argv);
 
   const double drops[] = {0.0, 0.05, 0.10, 0.20};
-  const Deployment deployments[] = {
-      Deployment::None, Deployment::SinglePlain, Deployment::SingleReliable,
-      Deployment::DuplicatedReliable};
 
   common::TablePrinter table({"Drop %", "Deployment", "Caught %", "Escaped %",
                               "Unprot s", "Restarts", "Spurious", "Takeovers",
@@ -207,7 +113,7 @@ int main(int argc, char** argv) {
       {"drop", "deployment", "caught_pct", "escaped_pct", "unprotected_s",
        "restarts", "spurious", "takeovers", "dead_letters"}};
   for (const double drop : drops) {
-    for (const Deployment deployment : deployments) {
+    for (const Deployment& deployment : kDeployments) {
       experiments::CampaignOptions campaign_options;
       campaign_options.label = "unreliable ipc";
       const auto cell_results = experiments::run_campaign(
@@ -233,7 +139,7 @@ int main(int argc, char** argv) {
           static_cast<double>(unprotected) /
           (static_cast<double>(runs) * static_cast<double>(sim::kSecond));
       table.add_row({common::fmt(drop * 100, 0),
-                     name_of(deployment),
+                     deployment.name,
                      common::fmt(common::percent(caught, injected), 1) + "%",
                      common::fmt(common::percent(escaped, injected), 1) + "%",
                      common::fmt(unprot_s, 1),
@@ -241,7 +147,7 @@ int main(int argc, char** argv) {
                      std::to_string(spurious / runs),
                      std::to_string(takeovers / runs),
                      std::to_string(dead / runs)});
-      csv.push_back({common::fmt(drop, 2), csv_name_of(deployment),
+      csv.push_back({common::fmt(drop, 2), deployment.csv_name,
                      common::fmt(common::percent(caught, injected), 2),
                      common::fmt(common::percent(escaped, injected), 2),
                      common::fmt(unprot_s, 2), std::to_string(restarts / runs),

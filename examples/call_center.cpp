@@ -11,62 +11,37 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "audit/process.hpp"
-#include "callproc/native_client.hpp"
-#include "inject/db_injector.hpp"
-#include "inject/oracle.hpp"
-#include "manager/manager.hpp"
-#include "sim/cpu.hpp"
+#include "experiments/controller_stack.hpp"
 
 using namespace wtc;
 
 int main(int argc, char** argv) {
   const long seconds = argc > 1 ? std::strtol(argv[1], nullptr, 10) : 300;
 
-  sim::Scheduler scheduler;
-  sim::Node node(scheduler);
-  sim::Cpu cpu;
-  common::Rng rng(2001);
-
-  auto db = db::make_controller_database();
-  const auto ids = db::resolve_controller_ids(db->schema());
-  inject::CorruptionOracle oracle(*db, [&]() { return scheduler.now(); });
-  db->set_observer(&oracle);
-  callproc::ClientDirectory directory(node, *db);
+  experiments::ControllerStack stack(db::make_controller_database(), 2001);
+  sim::Scheduler& scheduler = stack.scheduler();
+  stack.add_client_directory();
 
   // Manager supervising the audit process by heartbeat (§4.1).
-  sim::ProcessId audit_pid = sim::kNoProcess;
   audit::AuditProcessConfig audit_cfg;
   audit_cfg.period = 10 * static_cast<sim::Duration>(sim::kSecond);
   audit_cfg.event_triggered = true;
-  auto mgr = std::make_shared<manager::Manager>([&]() {
-    auto audit_process = std::make_shared<audit::AuditProcess>(
-        *db, cpu, audit_cfg, &oracle, &directory);
-    audit_pid = node.spawn("audit", audit_process);
-    return audit_pid;
-  });
-  node.spawn("manager", mgr);
+  stack.deploy_audit(audit_cfg, experiments::Supervision::Manager);
 
   // The call-processing client on the instrumented ("modified") API.
-  audit::IpcNotificationSink sink(node, [&]() { return audit_pid; });
   callproc::CallClientConfig client_cfg;  // Table-2 workload defaults
-  auto client = std::make_shared<callproc::NativeCallClient>(
-      *db, ids, cpu, rng.fork(1), client_cfg, &sink);
-  const auto client_pid = node.spawn("client", client);
-  directory.register_client(client_pid, client.get());
+  const auto client = stack.spawn_native_client(client_cfg, stack.audit_sink());
 
   // Random bit errors into the database, one every 10 s.
   inject::DbInjectorConfig inj_cfg;
   inj_cfg.inter_arrival = 10 * static_cast<sim::Duration>(sim::kSecond);
-  auto injector = std::make_shared<inject::DbErrorInjector>(*db, oracle,
-                                                            rng.fork(2), inj_cfg);
-  node.spawn("injector", injector);
+  stack.spawn_db_injector(inj_cfg);
 
   // Reporter: one status line per simulated minute.
   std::printf("%6s %9s %9s %7s %8s %8s %8s %9s\n", "t(s)", "calls", "complete",
               "dropped", "injected", "caught", "escaped", "setup ms");
   std::function<void()> report = [&]() {
-    const auto s = oracle.summary();
+    const auto s = stack.oracle().summary();
     const auto& cs = client->stats();
     std::printf("%6.0f %9llu %9llu %7llu %8zu %8zu %8zu %9.0f\n",
                 sim::to_seconds(scheduler.now()),
@@ -80,14 +55,14 @@ int main(int argc, char** argv) {
 
   scheduler.run_until(static_cast<sim::Time>(seconds) * sim::kSecond);
 
-  const auto s = oracle.summary();
+  const auto s = stack.oracle().summary();
   std::printf(
       "\nafter %ld simulated seconds: %zu errors injected, %zu caught by "
       "audits (%.0f%%), %zu escaped to the application (%.0f%%), %zu had no "
       "effect.\n",
       seconds, s.injected, s.caught, common::percent(s.caught, s.injected),
       s.escaped, common::percent(s.escaped, s.injected), s.no_effect());
-  std::printf("audit process restarts by manager: %u\n", mgr->restarts());
+  std::printf("audit process restarts by manager: %u\n", stack.restarts());
   std::printf("client: %llu calls attempted, %llu completed, %llu dropped by "
               "recovery, %llu golden-compare mismatches\n",
               static_cast<unsigned long long>(client->stats().calls_attempted),

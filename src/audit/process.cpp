@@ -272,7 +272,6 @@ void ProgressIndicatorElement::check(AuditProcess& process) {
       common::log(common::LogLevel::Info, "audit",
                   "progress indicator: terminating client ", lock.owner,
                   " holding table ", table);
-      ++recoveries_;
       Finding finding;
       finding.technique = Technique::ProgressIndicator;
       finding.recovery = Recovery::KillClientProcess;
@@ -404,7 +403,6 @@ void LowResourceTriggerElement::scan(AuditProcess& process) {
   if (critical) {
     // Critically low availability: reclaim leaked records NOW instead of
     // waiting for the next periodic cycle.
-    ++sweeps_triggered_;
     CheckResult result = process.engine().check_semantics();
     for (db::TableId t = 0; t < db.table_count(); ++t) {
       result += process.engine().check_structure(t);

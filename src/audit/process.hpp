@@ -214,14 +214,10 @@ class ProgressIndicatorElement final : public AuditElement {
   [[nodiscard]] bool accepts(std::uint32_t type) const override;
   void on_message(AuditProcess& process, const sim::Message& message) override;
 
-  [[nodiscard]] std::uint64_t activity_count() const noexcept { return counter_; }
-  [[nodiscard]] std::uint32_t recoveries() const noexcept { return recoveries_; }
-
  private:
   void check(AuditProcess& process);
   std::uint64_t counter_ = 0;
   std::uint64_t last_seen_ = 0;
-  std::uint32_t recoveries_ = 0;
 };
 
 /// Periodic audit trigger (§4.3 / §4.4.1): runs a full pass every period,
@@ -257,13 +253,8 @@ class LowResourceTriggerElement final : public AuditElement {
   [[nodiscard]] std::string_view name() const override { return "low-resource"; }
   void on_start(AuditProcess& process) override;
 
-  [[nodiscard]] std::uint64_t sweeps_triggered() const noexcept {
-    return sweeps_triggered_;
-  }
-
  private:
   void scan(AuditProcess& process);
-  std::uint64_t sweeps_triggered_ = 0;
 };
 
 /// Replay audit trigger: every kPeriod (20 s), re-executes the recorded

@@ -190,7 +190,6 @@ void VmClientDriver::heal_restart_thread(std::uint32_t thread_id) {
   // cannot re-trip over the same corruption.
   vmp_->restore_text_from_pristine();
   vmp_->reset_thread(thread_id, vmp_->pristine().entry);
-  ++heals_completed_;
   finished_ = false;
   schedule_after(0, [this]() { pump(); });
 }

@@ -66,9 +66,6 @@ class VmClientDriver final : public sim::Process,
   /// Threads currently parked awaiting a heal (nonzero at end-of-run means
   /// a detected violation was never healed).
   [[nodiscard]] std::uint32_t heal_pending_count() const noexcept;
-  [[nodiscard]] std::uint32_t heals_completed() const noexcept {
-    return heals_completed_;
-  }
 
   [[nodiscard]] vm::VmProcess& vmp() noexcept { return *vmp_; }
   [[nodiscard]] const vm::VmProcess& vmp() const noexcept { return *vmp_; }
@@ -110,7 +107,6 @@ class VmClientDriver final : public sim::Process,
   vm::ExecMonitor* monitor_;
   std::function<void(const audit::CfViolation&)> violation_handler_;
   std::vector<bool> heal_pending_;
-  std::uint32_t heals_completed_ = 0;
   std::uint32_t cursor_ = 0;
   bool crashed_ = false;
   bool finished_ = false;

@@ -110,6 +110,9 @@ class RunOpLog final : public NotificationSink {
  public:
   explicit RunOpLog(NotificationSink* next = nullptr) : next_(next) {}
 
+  /// Where recorded events go next (the audit sink when an audit runs).
+  void set_next(NotificationSink* next) noexcept { next_ = next; }
+
   void on_api_event(const ApiEvent& event) override;
 
   /// All recorded (successful) events, arrival order.

@@ -2,12 +2,9 @@
 
 #include <stdexcept>
 
-#include "db/run_op_log.hpp"
 #include "experiments/campaign.hpp"
+#include "experiments/controller_stack.hpp"
 #include "experiments/replay_workload.hpp"
-#include "manager/manager.hpp"
-#include "sim/cpu.hpp"
-#include "sim/scheduler.hpp"
 
 namespace wtc::experiments {
 
@@ -17,34 +14,19 @@ AuditRunResult run_audit_experiment(const AuditRunParams& params) {
     return run_replay_workload(params, params.replay_oplog_path);
   }
 
-  sim::Scheduler scheduler;
-  sim::Node node(scheduler);
-  sim::Cpu cpu;
-  common::Rng rng(params.seed);
-
-  auto database = db::make_controller_database(params.schema);
-  db::Database& db = *database;
-  const auto ids = db::resolve_controller_ids(db.schema());
-
-  inject::CorruptionOracle oracle(db, [&scheduler]() { return scheduler.now(); });
-  db.set_observer(&oracle);
-
-  callproc::ClientDirectory directory(node, db);
+  ControllerStack stack(db::make_controller_database(params.schema),
+                        params.seed);
+  stack.add_client_directory();
 
   // Whole-run op-log tee: records every successful API event ahead of the
-  // audit IPC adapter. Installed when a file capture was requested or the
-  // replay audit arm needs the in-memory log; recording starts at the
-  // pristine boot image, which is exactly the replay validity baseline.
+  // audit IPC adapter. The client reports to it when a file capture was
+  // requested or the replay audit arm needs the in-memory log; recording
+  // starts at the pristine boot image, which is exactly the replay
+  // validity baseline.
   audit::AuditProcessConfig audit_config = params.audit;
   const bool recording =
       !params.record_oplog_path.empty() || audit_config.replay_audit;
-
-  // Audit process under manager supervision (Figure 1).
-  sim::ProcessId audit_pid = sim::kNoProcess;
-  std::shared_ptr<manager::Manager> mgr;
-
-  audit::IpcNotificationSink sink(node, [&audit_pid]() { return audit_pid; });
-  db::RunOpLog oplog(params.audits_enabled ? &sink : nullptr);
+  db::RunOpLog& oplog = stack.run_log();
   if (!params.record_oplog_path.empty() &&
       !oplog.open_file(params.record_oplog_path)) {
     throw std::runtime_error("cannot open op-log file '" +
@@ -54,34 +36,17 @@ AuditRunResult run_audit_experiment(const AuditRunParams& params) {
     audit_config.replay_log = &oplog;
   }
 
-  const auto spawn_audit = [&]() {
-    auto process = std::make_shared<audit::AuditProcess>(db, cpu, audit_config,
-                                                         &oracle, &directory);
-    audit_pid = node.spawn("audit", process);
-    return audit_pid;
-  };
+  // Audit process under manager supervision (Figure 1).
   if (params.audits_enabled) {
-    mgr = std::make_shared<manager::Manager>(spawn_audit);
-    node.spawn("manager", mgr);
+    stack.deploy_audit(audit_config, Supervision::Manager);
   }
-
-  db::NotificationSink* client_sink =
-      recording ? static_cast<db::NotificationSink*>(&oplog)
-                : (params.audits_enabled
-                       ? static_cast<db::NotificationSink*>(&sink)
-                       : nullptr);
-  auto client = std::make_shared<callproc::NativeCallClient>(
-      db, ids, cpu, rng.fork(1), params.client, client_sink);
-  const sim::ProcessId client_pid = node.spawn("client", client);
-  directory.register_client(client_pid, client.get());
-
+  const auto client = stack.spawn_native_client(
+      params.client, recording ? &oplog : stack.audit_sink());
   if (params.injections_enabled) {
-    auto injector = std::make_shared<inject::DbErrorInjector>(
-        db, oracle, rng.fork(2), params.injector);
-    node.spawn("injector", injector);
+    stack.spawn_db_injector(params.injector);
   }
 
-  scheduler.run_until(static_cast<sim::Time>(params.duration));
+  stack.scheduler().run_until(static_cast<sim::Time>(params.duration));
   if (!params.record_oplog_path.empty() && !oplog.close_file()) {
     throw std::runtime_error("op-log file '" + params.record_oplog_path +
                              "' failed to flush cleanly");
@@ -90,31 +55,27 @@ AuditRunResult run_audit_experiment(const AuditRunParams& params) {
   AuditRunResult result;
   result.oplog_recorded = oplog.recorded();
   if (params.capture_final_region) {
-    const auto region = db.region();
+    const auto region = stack.db().region();
     result.final_region.assign(region.begin(), region.end());
   }
+  const inject::CorruptionOracle& oracle = stack.oracle();
   result.oracle = oracle.summary();
   result.injections = oracle.records();
   result.client = client->stats();
   result.audit_findings = oracle.audit_findings();
-  result.manager_restarts = mgr ? mgr->restarts() : 0;
+  result.manager_restarts = stack.restarts();
   result.avg_setup_ms = client->stats().setup_time_ms.mean();
-  if (params.audits_enabled && node.alive(audit_pid)) {
-    if (auto process = node.find(audit_pid)) {
-      auto* audit = static_cast<audit::AuditProcess*>(process.get());
-      result.audit_cycles = audit->cycles();
-      result.audit_cost = audit->total_cost();
-      result.full_sweeps = audit->engine().full_sweeps();
-      result.audit_makespan = audit->engine().total_makespan();
-      result.budget_exhausted_cycles = audit->engine().budget_exhausted_cycles();
-      result.deferred_units = audit->engine().deferred_units_total();
-      if (const audit::AuditElement* element =
-              audit->find_element("replay-audit")) {
-        const auto* replay =
-            static_cast<const audit::ReplayAuditElement*>(element);
-        result.replay_runs = replay->runs();
-        result.replay = replay->last_stats();
-      }
+  if (const auto audit = stack.audit()) {
+    result.audit_cycles = audit->cycles();
+    result.audit_cost = audit->total_cost();
+    result.full_sweeps = audit->engine().full_sweeps();
+    result.audit_makespan = audit->engine().total_makespan();
+    result.budget_exhausted_cycles = audit->engine().budget_exhausted_cycles();
+    result.deferred_units = audit->engine().deferred_units_total();
+    if (const audit::AuditElement* element = audit->find_element("replay-audit")) {
+      const auto* replay = static_cast<const audit::ReplayAuditElement*>(element);
+      result.replay_runs = replay->runs();
+      result.replay = replay->last_stats();
     }
   }
   return result;

@@ -1,23 +1,14 @@
 #include "experiments/prioritized_runner.hpp"
 
 #include "experiments/campaign.hpp"
-#include "inject/oracle.hpp"
-#include "sim/cpu.hpp"
-#include "sim/scheduler.hpp"
+#include "experiments/controller_stack.hpp"
 
 namespace wtc::experiments {
 
 PrioritizedRunResult run_prioritized_experiment(const PrioritizedRunParams& params) {
-  sim::Scheduler scheduler;
-  sim::Node node(scheduler);
-  sim::Cpu cpu;
-  common::Rng rng(params.seed);
-
-  db::Database db(db::make_bench_schema(params.schema));
-  db::activate_all_records(db);
-
-  inject::CorruptionOracle oracle(db, [&scheduler]() { return scheduler.now(); });
-  db.set_observer(&oracle);
+  auto database = std::make_unique<db::Database>(db::make_bench_schema(params.schema));
+  db::activate_all_records(*database);
+  ControllerStack stack(std::move(database), params.seed);
 
   // Table 5: audit frequency "1 table every 5 seconds".
   constexpr sim::Duration kAuditTick = 5 * static_cast<sim::Duration>(sim::kSecond);
@@ -36,26 +27,22 @@ PrioritizedRunResult run_prioritized_experiment(const PrioritizedRunParams& para
   // modelled audit cost small so one 5 s tick never saturates the CPU even
   // for the 125-unit table.
   audit_cfg.engine.cost_scale = 0.2;
-  auto audit_process = std::make_shared<audit::AuditProcess>(
-      db, cpu, audit_cfg, &oracle, nullptr);
-  sim::ProcessId audit_pid = node.spawn("audit", audit_process);
-
-  audit::IpcNotificationSink sink(node, [audit_pid]() { return audit_pid; });
-  auto client = std::make_shared<callproc::EmulatedLoadClient>(
-      db, cpu, rng.fork(1), params.load, &sink);
-  node.spawn("client", client);
+  // No client directory: the emulated client is not controllable, so the
+  // audit runs without client control.
+  stack.deploy_audit(audit_cfg, Supervision::None);
+  stack.node().spawn("client", std::make_shared<callproc::EmulatedLoadClient>(
+                                   stack.db(), stack.cpu(), stack.rng().fork(1),
+                                   params.load, stack.audit_sink()));
 
   inject::DbInjectorConfig inj_cfg;
   inj_cfg.inter_arrival = params.error_mtbf;
   inj_cfg.arrival = params.arrival;
   inj_cfg.distribution = params.distribution;
-  auto injector = std::make_shared<inject::DbErrorInjector>(db, oracle,
-                                                            rng.fork(2), inj_cfg);
-  node.spawn("injector", injector);
+  stack.spawn_db_injector(inj_cfg);
 
-  scheduler.run_until(static_cast<sim::Time>(params.duration));
+  stack.scheduler().run_until(static_cast<sim::Time>(params.duration));
 
-  const auto summary = oracle.summary();
+  const auto summary = stack.oracle().summary();
   PrioritizedRunResult result;
   result.injected = summary.injected;
   result.escaped = summary.escaped;

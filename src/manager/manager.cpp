@@ -195,7 +195,6 @@ void Manager::on_message(const sim::Message& message) {
     // (e.g. mid-takeover) drops it — the detection path re-reports on the
     // next attestation slice if the thread is still wedged.
     if (role_ == Role::Active && healer_ != nullptr) {
-      ++violations_routed_;
       healer_->heal(audit::msg::view_cf_violation(inner));
     }
   }

@@ -57,9 +57,6 @@ class Manager final : public sim::Process {
   /// manager is *active* when they arrive (both members of the pair share
   /// one healer, like they share the spawn_audit factory).
   void set_healer(CfHealer* healer) noexcept { healer_ = healer; }
-  [[nodiscard]] std::uint64_t violations_routed() const noexcept {
-    return violations_routed_;
-  }
 
   void on_start() override;
   void on_message(const sim::Message& message) override;
@@ -114,7 +111,6 @@ class Manager final : public sim::Process {
   std::uint32_t takeovers_ = 0;
   std::uint32_t demotions_ = 0;
   CfHealer* healer_ = nullptr;
-  std::uint64_t violations_routed_ = 0;
 
   std::optional<sim::ReliableSender> hb_sender_;
   sim::ReliableReceiver receiver_{*this};
