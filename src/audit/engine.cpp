@@ -643,11 +643,11 @@ CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
       continue;
     }
     if (!exhaustive && field_gen == db_.scrub_generation(t, r)) {
-      // The last field-area write was the free-record scrub: the fields
-      // equal their catalog defaults by construction (defaults come from
-      // the trusted out-of-region schema), so the freed-record rule holds
-      // without reading a byte. Any later field write — legitimate or
-      // injected through the store — breaks the equality.
+      // The last field-area write was an attested free-record scrub: the
+      // fields equal the schema's defaults (a scrub from catalog defaults
+      // that differ from the schema is not attested), so the freed-record
+      // rule holds without reading a byte. Any later field write —
+      // legitimate or injected through the store — breaks the equality.
       continue;
     }
     selected.push_back(r);

@@ -206,9 +206,9 @@ class Database {
   /// Generation of the last *scrub* of record (t, r): a store write that
   /// rewrote the record's whole field area with its defaults (the
   /// free-record paths). While field_generation == scrub_generation > 0 the
-  /// field bytes are the defaults the freeing path wrote — the in-region
-  /// catalog's for DbApi::free_rec, the schema's for the audit's direct
-  /// frees — so the range check can attest the record without reading it;
+  /// field bytes are the schema's defaults (DbApi::free_rec scrubs from the
+  /// in-region catalog and attests only when those match the schema), so
+  /// the range check can attest the record without reading it;
   /// any later field write — including through-store corruption — breaks
   /// the equality.
   [[nodiscard]] std::uint64_t scrub_generation(TableId t, RecordIndex r) const {

@@ -327,6 +327,43 @@ TEST_F(IncrementalAuditTest, FreedRecordScrubIsAttestedAndSkipped) {
   EXPECT_EQ(engine_->check_ranges(ids_.connection, Scan::Incremental).findings, 1u);
 }
 
+// free_rec scrubs with the in-region catalog's defaults. When a corrupted
+// catalog makes those differ from the schema's, the scrub is a plain write,
+// not an attested one: the incremental range audit reads the freed record
+// and finds what the exhaustive scan finds.
+TEST(IncrementalAuditScrub, ScrubFromCorruptedCatalogDefaultIsNotAttested) {
+  const auto findings_after_free = [](Scan scan) {
+    auto db = db::make_controller_database();
+    const auto ids = db::resolve_controller_ids(db->schema());
+    sim::Time now = 0;
+    db::DbApi api(*db, [&now]() { return now; });
+    api.init(77);
+    EngineConfig config;
+    config.recent_write_grace = 1000;
+    config.incremental = true;
+    AuditEngine engine(*db, config, [&now]() { return now; });
+    CollectingSink sink;
+    engine.set_report_sink(&sink);
+
+    db::RecordIndex r = 0;
+    EXPECT_EQ(api.alloc_rec(ids.resource, db::kGroupActiveCalls, r), db::Status::Ok);
+    const std::size_t power_default =
+        db::kCatalogHeaderSize + db->table_count() * db::kTableDescriptorSize +
+        (db->layout().table(ids.resource).first_field_index + ids.r_power_level) *
+            db::kFieldDescriptorSize +
+        16;
+    db::store_i32(db->region(), power_default, -7);  // the schema says 50
+    db->mark_written(power_default, 4);
+    EXPECT_EQ(api.free_rec(ids.resource, r), db::Status::Ok);
+    EXPECT_NE(db->field_generation(ids.resource, r), db->scrub_generation(ids.resource, r));
+    now += 10'000;  // past the write grace
+    return engine.check_ranges(ids.resource, scan).findings;
+  };
+  const std::size_t exhaustive = findings_after_free(Scan::Exhaustive);
+  EXPECT_EQ(exhaustive, 1u);
+  EXPECT_EQ(findings_after_free(Scan::Incremental), exhaustive);
+}
+
 TEST_F(IncrementalAuditTest, RepairHeaderDropScrubsStaleFields) {
   const auto [p, c, r] = make_call();
   (void)p;
