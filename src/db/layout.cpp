@@ -209,6 +209,10 @@ std::optional<TableDescriptor> CatalogView::table(TableId t) const noexcept {
   if (!header_ok() || t >= table_count()) {
     return std::nullopt;
   }
+  return decode_table(t);
+}
+
+std::optional<TableDescriptor> CatalogView::decode_table(TableId t) const noexcept {
   const std::size_t at = kCatalogHeaderSize + t * kTableDescriptorSize;
   TableDescriptor d;
   d.flags = load_u32(region_, at + 0);

@@ -176,6 +176,9 @@ class CatalogView {
   /// Decodes table `t`'s descriptor, validating that the described extent
   /// lies inside the region.
   [[nodiscard]] std::optional<TableDescriptor> table(TableId t) const noexcept;
+  /// table() for a caller that has already checked header_ok() and
+  /// `t < table_count()`: decodes and validates without re-checking them.
+  [[nodiscard]] std::optional<TableDescriptor> decode_table(TableId t) const noexcept;
 
   /// Decodes the descriptor of field `f` of table `t` (field index local
   /// to the table).

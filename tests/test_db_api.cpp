@@ -145,6 +145,29 @@ TEST_F(ApiTest, CatalogCorruptionFailsOperations) {
   EXPECT_EQ(api_.alloc_rec(ids_.process, kGroupActiveCalls, r), Status::Ok);
 }
 
+// Every op resolves its table by checking the catalog header, then the
+// table bound, then decoding the descriptor; the status names the first
+// check that fails.
+TEST_F(ApiTest, ResolveChecksHeaderThenTableThenDescriptor) {
+  std::int32_t v = 0;
+  const auto past_last = static_cast<TableId>(db_->table_count());
+  EXPECT_EQ(api_.read_fld(past_last, 0, 0, v), Status::NoSuchTable);
+
+  // A record size too small for the table's fields: a bad descriptor.
+  const std::size_t record_size_at =
+      kCatalogHeaderSize + ids_.process * kTableDescriptorSize + 8;
+  const std::uint32_t record_size = load_u32(db_->region(), record_size_at);
+  store_u32(db_->region(), record_size_at, 1);
+  db_->mark_written(record_size_at, 4);
+  EXPECT_EQ(api_.read_fld(ids_.process, 0, 0, v), Status::CatalogCorrupt);
+  store_u32(db_->region(), record_size_at, record_size);
+  db_->mark_written(record_size_at, 4);
+  EXPECT_EQ(api_.read_fld(ids_.process, 0, 0, v), Status::RecordNotActive);
+
+  db_->region()[0] ^= std::byte{0xFF};  // smash the catalog magic
+  EXPECT_EQ(api_.read_fld(past_last, 0, 0, v), Status::CatalogCorrupt);
+}
+
 // Field defaults come from the in-region catalog, read on every alloc and
 // free, so catalog corruption reaches clients (§3.2) — not from the
 // trusted schema.
