@@ -24,9 +24,6 @@ class Cpu {
     return busy_until_;
   }
 
-  /// Instant at which currently-booked work drains.
-  [[nodiscard]] Time busy_until() const noexcept { return busy_until_; }
-
   /// Total CPU microseconds ever booked (utilization accounting).
   [[nodiscard]] Time total_booked() const noexcept { return total_booked_; }
 

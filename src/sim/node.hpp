@@ -106,9 +106,6 @@ class Node {
     faults_.emplace(config);
   }
   void clear_channel_faults() noexcept { faults_.reset(); }
-  [[nodiscard]] bool has_channel_faults() const noexcept {
-    return faults_.has_value();
-  }
 
   /// Delivery accounting for the directed link `from -> to` (zeros if the
   /// link never carried traffic) and across all links.
