@@ -33,7 +33,7 @@ FailoverResult run_one(Supervision supervision, sim::Duration kill_every,
                                      seed);
   stack.add_client_directory();
   stack.deploy_audit(params.audit, supervision);
-  stack.spawn_native_client(params.client, stack.audit_sink());
+  stack.spawn_native_client(stack.audit_sink());
   stack.spawn_db_injector(params.injector);
   stack.kill_audit_every(kill_every);
   stack.scheduler().run_until(static_cast<sim::Time>(params.duration));

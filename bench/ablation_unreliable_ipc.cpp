@@ -72,7 +72,7 @@ CellResult run_one(const Deployment& deployment, double drop,
   }
   stack.add_client_directory();
   stack.deploy_audit(params.audit, deployment.supervision);
-  stack.spawn_native_client(params.client, stack.audit_sink());
+  stack.spawn_native_client(stack.audit_sink());
   stack.spawn_db_injector(params.injector);
   stack.kill_audit_every(kill_every);
 

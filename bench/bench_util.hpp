@@ -84,16 +84,11 @@ inline std::size_t runs_flag(int argc, char** argv, std::size_t default_value) {
 }
 
 /// The Table-2 experiment configuration. The controller tables are sized
-/// so the offered load (16 threads, 20-30 s calls, 10 s inter-arrival)
-/// produces production-like record occupancy.
+/// so the native client's offered load (16 threads, 20-30 s calls, 10 s
+/// inter-arrival) produces production-like record occupancy.
 inline experiments::AuditRunParams table2_params() {
   experiments::AuditRunParams params;
   params.duration = 2000 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.threads = 16;
-  params.client.call_duration_min = 20 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.call_duration_max = 30 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.inter_arrival_mean = 10 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.phase_work = 40 * static_cast<sim::Duration>(sim::kMillisecond);
   params.injector.inter_arrival = 20 * static_cast<sim::Duration>(sim::kSecond);
   params.injector.arrival = inject::ArrivalModel::Fixed;
   params.audit.period = 10 * static_cast<sim::Duration>(sim::kSecond);
@@ -107,9 +102,6 @@ inline experiments::AuditRunParams table2_params() {
   params.schema.config_records = 8;
   params.schema.subscriber_records = 16;
   params.audit.engine.cost_scale = 80.0;
-  // The paper's client (Figure 8) reads its records back at teardown; it
-  // has no mid-call supervision polling.
-  params.client.supervision_period = 0;
   params.seed = 20010701;  // DSN 2001
   return params;
 }

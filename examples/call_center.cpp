@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   audit_cfg.event_triggered = true;
   stack.deploy_audit(audit_cfg, experiments::Supervision::Manager);
 
-  // The call-processing client on the instrumented ("modified") API.
-  callproc::CallClientConfig client_cfg;  // Table-2 workload defaults
-  const auto client = stack.spawn_native_client(client_cfg, stack.audit_sink());
+  // The call-processing client (Table-2 load) on the instrumented
+  // ("modified") API.
+  const auto client = stack.spawn_native_client(stack.audit_sink());
 
   // Random bit errors into the database, one every 10 s.
   inject::DbInjectorConfig inj_cfg;

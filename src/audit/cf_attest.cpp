@@ -45,12 +45,6 @@ void CfAttestElement::on_start(AuditProcess& process) {
   });
 }
 
-void CfAttestElement::reset_thread(std::uint32_t thread) {
-  if (thread < shadows_.size()) {
-    shadows_[thread].valid = false;
-  }
-}
-
 CfAttestElement::Shadow& CfAttestElement::shadow_for(std::uint32_t thread) {
   if (shadows_.size() <= thread) {
     shadows_.resize(thread + 1);

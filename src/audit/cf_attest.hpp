@@ -53,10 +53,6 @@ class CfAttestElement final : public AuditElement {
   /// per-thread watermark (optional).
   void set_op_log(db::ThreadOpLog* op_log) noexcept { op_log_ = op_log; }
 
-  /// Resets the continuity shadow of a healed thread (the restart's
-  /// thread-start marker also does this; this is the belt to its braces).
-  void reset_thread(std::uint32_t thread);
-
   [[nodiscard]] std::uint64_t slices() const noexcept { return slices_; }
   [[nodiscard]] std::uint64_t transitions_attested() const noexcept {
     return attested_;

@@ -36,7 +36,7 @@ Recovery EscalationPolicy::on_finding(const Finding& finding, sim::Time now,
 
   const bool in_cooldown =
       state.last_escalation != 0 &&
-      now - state.last_escalation < static_cast<sim::Time>(config_.cooldown);
+      now - state.last_escalation < static_cast<sim::Time>(kEscalationCooldown);
   if (state.recent.size() < config_.table_reload_threshold || in_cooldown) {
     return Recovery::None;
   }
@@ -78,8 +78,8 @@ Recovery EscalationPolicy::on_finding(const Finding& finding, sim::Time now,
       recent_table_escalations_.end());
   const bool full_cooldown =
       last_full_reload_ != 0 &&
-      now - last_full_reload_ < static_cast<sim::Time>(config_.cooldown);
-  if (recent_table_escalations_.size() >= config_.full_reload_threshold &&
+      now - last_full_reload_ < static_cast<sim::Time>(kEscalationCooldown);
+  if (recent_table_escalations_.size() >= kFullReloadThreshold &&
       !full_cooldown) {
     db_.reload_all_from_disk();
     recent_table_escalations_.clear();

@@ -30,12 +30,14 @@ struct EscalationConfig {
   sim::Duration window = 30 * static_cast<sim::Duration>(sim::kSecond);
   /// Findings on ONE table within the window that trigger a table reload.
   std::uint32_t table_reload_threshold = 8;
-  /// Tables escalated to reload within one window that trigger a full
-  /// database reload.
-  std::uint32_t full_reload_threshold = 3;
-  /// Cooldown after an escalation before the same level can fire again.
-  sim::Duration cooldown = 60 * static_cast<sim::Duration>(sim::kSecond);
 };
+
+/// Tables escalated to reload within one window that trigger a full
+/// database reload.
+inline constexpr std::uint32_t kFullReloadThreshold = 3;
+/// Cooldown after an escalation before the same level can fire again.
+inline constexpr sim::Duration kEscalationCooldown =
+    60 * static_cast<sim::Duration>(sim::kSecond);
 
 /// Watches findings and performs the §2-style escalation. Attach it as a
 /// tee on the audit engine's report stream.

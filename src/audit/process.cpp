@@ -123,8 +123,8 @@ void AuditProcess::note_element_fault(ElementSlot& slot) {
   ++faults_;
   const sim::Time now = node().now();
   const sim::Time horizon =
-      now > static_cast<sim::Time>(config_.quarantine_window)
-          ? now - static_cast<sim::Time>(config_.quarantine_window)
+      now > static_cast<sim::Time>(kQuarantineWindow)
+          ? now - static_cast<sim::Time>(kQuarantineWindow)
           : 0;
   auto& times = slot.fault_times;
   times.erase(std::remove_if(times.begin(), times.end(),
@@ -134,7 +134,7 @@ void AuditProcess::note_element_fault(ElementSlot& slot) {
   common::log(common::LogLevel::Warn, "audit", "element '",
               slot.element->name(), "' faulted (", times.size(),
               " in window)");
-  if (!config_.quarantine || times.size() < config_.quarantine_max_faults) {
+  if (times.size() < kQuarantineMaxFaults) {
     return;
   }
   // Graceful degradation: disable the element and report the quarantine
@@ -149,14 +149,11 @@ void AuditProcess::note_element_fault(ElementSlot& slot) {
   finding.time = now;
   engine_.report_external(finding);
 
-  if (config_.quarantine_reenable) {
-    // Reversible degradation: after a clean quarantine window (trivially
-    // clean — a disabled element cannot fault), put the element back in
-    // service with a fresh fault history.
-    AuditElement* element = slot.element.get();
-    schedule_after(config_.quarantine_window,
-                   [this, element]() { reenable_element(element); });
-  }
+  // Reversible degradation: after a clean quarantine window (trivially
+  // clean — a disabled element cannot fault), put the element back in
+  // service with a fresh fault history.
+  AuditElement* element = slot.element.get();
+  schedule_after(kQuarantineWindow, [this, element]() { reenable_element(element); });
 }
 
 void AuditProcess::reenable_element(AuditElement* element) {
@@ -265,8 +262,7 @@ void ProgressIndicatorElement::check(AuditProcess& process) {
     // wedging the database with a stale lock and terminate it (§4.2).
     const sim::Time now = process.node().now();
     for (const auto& [table, lock] : process.database().held_locks()) {
-      if (now - lock.since <
-          static_cast<sim::Time>(process.config().lock_hold_threshold)) {
+      if (now - lock.since < static_cast<sim::Time>(kLockHoldThreshold)) {
         continue;
       }
       common::log(common::LogLevel::Info, "audit",
@@ -305,8 +301,9 @@ void PeriodicAuditElement::tick(AuditProcess& process) {
   process.scheduler().begin_cycle(db);
 
   CheckResult result;
-  if (process.config().one_table_per_tick) {
-    const db::TableId t = process.config().prioritized
+  const TablePacing pacing = process.config().pacing;
+  if (pacing != TablePacing::AllTables) {
+    const db::TableId t = pacing == TablePacing::Prioritized
                               ? process.scheduler().next_prioritized()
                               : process.scheduler().next_round_robin();
     result += engine.check_structure(t);
@@ -327,17 +324,6 @@ void PeriodicAuditElement::tick(AuditProcess& process) {
         dirty[t] = engine.table_dirty_chunks(static_cast<db::TableId>(t));
       }
       order = process.scheduler().ranked_by_pressure(dirty);
-    } else if (process.config().prioritized) {
-      // Audit every table this cycle, most important first — importance
-      // ordering shortens detection latency for hot tables.
-      auto share = process.scheduler().shares();
-      order.resize(db.table_count());
-      for (std::size_t t = 0; t < order.size(); ++t) {
-        order[t] = static_cast<db::TableId>(t);
-      }
-      std::sort(order.begin(), order.end(), [&share](db::TableId a, db::TableId b) {
-        return share[a] > share[b];
-      });
     } else {
       for (std::size_t t = 0; t < db.table_count(); ++t) {
         order.push_back(static_cast<db::TableId>(t));
@@ -375,7 +361,7 @@ void EventTriggeredAuditElement::on_message(AuditProcess& process,
 // --- LowResourceTriggerElement ---
 
 void LowResourceTriggerElement::on_start(AuditProcess& process) {
-  process.schedule_after(process.config().low_resource_period, [this, &process]() {
+  process.schedule_after(kPeriod, [this, &process]() {
     process.guarded(*this, [this, &process]() { scan(process); });
   });
 }
@@ -396,7 +382,7 @@ void LowResourceTriggerElement::scan(AuditProcess& process) {
     }
     const double ratio = static_cast<double>(free_records) /
                          static_cast<double>(spec.num_records);
-    if (ratio < process.config().low_water_fraction) {
+    if (ratio < kLowWaterFraction) {
       critical = true;
     }
   }
@@ -409,7 +395,7 @@ void LowResourceTriggerElement::scan(AuditProcess& process) {
     }
     process.book_cpu(result.cost);
   }
-  process.schedule_after(process.config().low_resource_period, [this, &process]() {
+  process.schedule_after(kPeriod, [this, &process]() {
     process.guarded(*this, [this, &process]() { scan(process); });
   });
 }
@@ -436,7 +422,7 @@ void ReplayAuditElement::tick(AuditProcess& process) {
     const sim::Duration budget = process.config().engine.cycle_budget;
     const sim::Duration estimate = static_cast<sim::Duration>(
         static_cast<double>(log->recorded()) *
-        static_cast<double>(kReplayCostPerOp) * process.config().replay.cost_scale);
+        static_cast<double>(kReplayCostPerOp) * kReplayCostScale);
     bool run = true;
     if (budget > 0) {
       allowance_ += budget;
@@ -493,10 +479,6 @@ class ReliableIpcSink::Courier final : public sim::Process {
 
   void forward(sim::Message message) { sender_.send(std::move(message)); }
 
-  [[nodiscard]] const sim::ReliableSender& sender() const noexcept {
-    return sender_;
-  }
-
  private:
   std::function<sim::ProcessId()> audit_pid_;
   sim::ReliableSender sender_;
@@ -511,10 +493,6 @@ ReliableIpcSink::ReliableIpcSink(sim::Node& node,
 
 void ReliableIpcSink::on_api_event(const db::ApiEvent& event) {
   courier_->forward(msg::make_activity(event));
-}
-
-const sim::ReliableSender& ReliableIpcSink::sender() const {
-  return courier_->sender();
 }
 
 }  // namespace wtc::audit

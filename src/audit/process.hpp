@@ -50,6 +50,21 @@ class AuditElement {
   }
 };
 
+/// Element quarantine (graceful degradation): an element that throws
+/// kQuarantineMaxFaults times within kQuarantineWindow is disabled and
+/// reported as a finding; the remaining elements keep running instead of
+/// the whole audit process dying with it. Reversible degradation: a
+/// quarantined element is re-enabled (fault history cleared, on_start
+/// re-run) after a clean kQuarantineWindow.
+inline constexpr std::uint32_t kQuarantineMaxFaults = 3;
+inline constexpr sim::Duration kQuarantineWindow =
+    10 * static_cast<sim::Duration>(sim::kSecond);
+
+/// What one periodic tick audits (§4.3 / §4.4.1): every table, or one
+/// table per tick (Table 5: "1 table every 5 seconds") picked round-robin
+/// or by priority.
+enum class TablePacing : std::uint8_t { AllTables, RoundRobin, Prioritized };
+
 struct AuditProcessConfig {
   EngineConfig engine;
   PriorityWeights weights;
@@ -57,10 +72,7 @@ struct AuditProcessConfig {
   /// Periodic audit (§4.3): interval of the full pass (Table 2: 10 s).
   sim::Duration period = 10 * static_cast<sim::Duration>(sim::kSecond);
   bool periodic_enabled = true;
-  /// Prioritized triggering (§4.4.1) and one-table-per-tick pacing
-  /// (Table 5: "1 table every 5 seconds").
-  bool prioritized = false;
-  bool one_table_per_tick = false;
+  TablePacing pacing = TablePacing::AllTables;
 
   /// Event-triggered audit (§4.3): check the written record on DB updates.
   bool event_triggered = false;
@@ -70,14 +82,10 @@ struct AuditProcessConfig {
   /// table's free-record ratio falls below the low-water mark, run the
   /// semantic audit immediately to reclaim leaked ("zombie") records.
   bool low_resource_trigger = false;
-  double low_water_fraction = 0.15;
-  sim::Duration low_resource_period = 5 * static_cast<sim::Duration>(sim::kSecond);
 
   /// Progress indicator (§4.2).
   bool progress_indicator = true;
   sim::Duration progress_timeout = 100 * static_cast<sim::Duration>(sim::kSecond);
-  sim::Duration lock_hold_threshold =
-      100 * static_cast<sim::Duration>(sim::kMillisecond);
 
   bool heartbeat = true;
 
@@ -102,17 +110,6 @@ struct AuditProcessConfig {
   /// queue does not masquerade as a dead audit process.
   bool reliable_ipc = false;
   sim::ReliableConfig reliable;
-
-  /// Element quarantine (graceful degradation): an element that throws
-  /// `quarantine_max_faults` times within `quarantine_window` is disabled
-  /// and reported as a finding; the remaining elements keep running
-  /// instead of the whole audit process dying with it.
-  bool quarantine = true;
-  std::uint32_t quarantine_max_faults = 3;
-  sim::Duration quarantine_window = 10 * static_cast<sim::Duration>(sim::kSecond);
-  /// Reversible degradation: a quarantined element is re-enabled (fault
-  /// history cleared, on_start re-run) after a clean quarantine_window.
-  bool quarantine_reenable = true;
 };
 
 class AuditProcess final : public sim::Process {
@@ -209,6 +206,11 @@ class HeartbeatElement final : public AuditElement {
 /// Database deadlock detection via API activity messages (§4.2).
 class ProgressIndicatorElement final : public AuditElement {
  public:
+  /// A lock held at least this long by a client that made no progress for
+  /// a whole timeout is stale: its holder is terminated.
+  static constexpr sim::Duration kLockHoldThreshold =
+      100 * static_cast<sim::Duration>(sim::kMillisecond);
+
   [[nodiscard]] std::string_view name() const override { return "progress-indicator"; }
   void on_start(AuditProcess& process) override;
   [[nodiscard]] bool accepts(std::uint32_t type) const override;
@@ -220,8 +222,8 @@ class ProgressIndicatorElement final : public AuditElement {
   std::uint64_t last_seen_ = 0;
 };
 
-/// Periodic audit trigger (§4.3 / §4.4.1): runs a full pass every period,
-/// or one (prioritized / round-robin) table per tick.
+/// Periodic audit trigger (§4.3 / §4.4.1): every period, audits the
+/// tables the config's TablePacing names.
 class PeriodicAuditElement final : public AuditElement {
  public:
   [[nodiscard]] std::string_view name() const override { return "periodic-audit"; }
@@ -250,6 +252,11 @@ class EventTriggeredAuditElement final : public AuditElement {
 /// allocation failures turn into lost calls.
 class LowResourceTriggerElement final : public AuditElement {
  public:
+  /// Free-record ratio below which a dynamic table is critically low.
+  static constexpr double kLowWaterFraction = 0.15;
+  /// Scan period of the free-record monitor.
+  static constexpr sim::Duration kPeriod = 5 * static_cast<sim::Duration>(sim::kSecond);
+
   [[nodiscard]] std::string_view name() const override { return "low-resource"; }
   void on_start(AuditProcess& process) override;
 
@@ -315,9 +322,6 @@ class ReliableIpcSink final : public db::NotificationSink {
                   sim::ReliableConfig config = {});
 
   void on_api_event(const db::ApiEvent& event) override;
-
-  /// Sender-side delivery stats (retries, abandoned frames) for tests.
-  [[nodiscard]] const sim::ReliableSender& sender() const;
 
  private:
   class Courier;

@@ -73,10 +73,9 @@ struct MismatchRun {
 /// Modelled CPU cost of comparing one compare_grain slice (µs, scaled).
 constexpr std::uint32_t kCostPerCompareChunk = 4;
 
-[[nodiscard]] sim::Duration scaled(std::uint64_t items, std::uint32_t per_item,
-                                   double scale) noexcept {
+[[nodiscard]] sim::Duration scaled(std::uint64_t items, std::uint32_t per_item) noexcept {
   return static_cast<sim::Duration>(static_cast<double>(items) *
-                                    static_cast<double>(per_item) * scale);
+                                    static_cast<double>(per_item) * kReplayCostScale);
 }
 
 }  // namespace
@@ -249,7 +248,7 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   for (std::size_t u = 0; u < uniques.size(); ++u) {
     const std::uint64_t ops = chains[uniques[u]].ops.size();
     stats.executed_ops += ops;
-    chain_costs[u] = scaled(ops, kReplayCostPerOp, config_.cost_scale);
+    chain_costs[u] = scaled(ops, kReplayCostPerOp);
   }
   obs::count(obs::Counter::replay_exec_ops, stats.executed_ops);
 
@@ -329,16 +328,10 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
 
   // --- cost model: same µs-and-scale convention as the engine; the
   // makespan is the two parallel phases' critical paths back to back ---
-  std::vector<sim::Duration> compare_costs(
-      tasks, scaled(1, kCostPerCompareChunk, config_.cost_scale));
-  const sim::Duration compare_cost =
-      scaled(tasks, kCostPerCompareChunk, config_.cost_scale);
-  stats.naive_cost =
-      scaled(stats.total_ops, kReplayCostPerOp, config_.cost_scale) +
-      compare_cost;
-  stats.dedup_cost =
-      scaled(stats.executed_ops, kReplayCostPerOp, config_.cost_scale) +
-      compare_cost;
+  std::vector<sim::Duration> compare_costs(tasks, scaled(1, kCostPerCompareChunk));
+  const sim::Duration compare_cost = scaled(tasks, kCostPerCompareChunk);
+  stats.naive_cost = scaled(stats.total_ops, kReplayCostPerOp) + compare_cost;
+  stats.dedup_cost = scaled(stats.executed_ops, kReplayCostPerOp) + compare_cost;
   stats.makespan = AuditEngine::greedy_makespan(chain_costs, workers) +
                    AuditEngine::greedy_makespan(compare_costs, workers);
   return result;

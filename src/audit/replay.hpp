@@ -55,8 +55,11 @@
 namespace wtc::audit {
 
 /// Modelled CPU cost of one re-executed op (microseconds, scaled by
-/// ReplayConfig::cost_scale like the engine's per-item costs).
+/// kReplayCostScale like the engine's per-item costs).
 inline constexpr std::uint32_t kReplayCostPerOp = 8;
+/// Scale on the modelled per-item costs (kReplayCostPerOp and the
+/// compare-slice cost), same convention as EngineConfig::cost_scale.
+inline constexpr double kReplayCostScale = 10.0;
 
 struct ReplayConfig {
   /// Worker count for chain execution and the shadow compare (1 = fully
@@ -66,10 +69,6 @@ struct ReplayConfig {
   /// `replay_threads` — so task boundaries and the modelled makespan
   /// depend only on the region, never on the worker count.
   std::size_t compare_grain_bytes = 4096;
-
-  /// Scale on the modelled per-item costs (kReplayCostPerOp and the
-  /// compare-slice cost), same convention as EngineConfig::cost_scale.
-  double cost_scale = 10.0;
 };
 
 /// Outcome statistics of one replay cycle. All values are deterministic

@@ -6,12 +6,10 @@
 namespace wtc::callproc {
 
 EmulatedLoadClient::EmulatedLoadClient(db::Database& db, sim::Cpu& cpu,
-                                       common::Rng rng, EmulatedLoadConfig config,
-                                       db::NotificationSink* sink)
+                                       common::Rng rng, db::NotificationSink* sink)
     : db_(db),
       cpu_(cpu),
       rng_(rng),
-      config_(config),
       api_(db, [this]() { return this->now(); }) {
   api_.set_audit_hooks(sink);
 }
@@ -19,7 +17,7 @@ EmulatedLoadClient::EmulatedLoadClient(db::Database& db, sim::Cpu& cpu,
 void EmulatedLoadClient::on_start() {
   running_ = true;
   api_.init(pid());
-  for (std::uint32_t t = 0; t < config_.threads; ++t) {
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
     schedule_op(t);
   }
 }
@@ -33,7 +31,7 @@ void EmulatedLoadClient::on_stopped() {
 
 void EmulatedLoadClient::schedule_op(std::uint32_t thread) {
   const double mean_us =
-      static_cast<double>(sim::kSecond) / config_.ops_per_second_per_thread;
+      static_cast<double>(sim::kSecond) / kOpsPerSecondPerThread;
   const auto wait = static_cast<sim::Duration>(rng_.exponential(mean_us));
   schedule_after(wait, [this, thread]() {
     if (running_) {

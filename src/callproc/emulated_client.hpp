@@ -13,15 +13,14 @@
 
 namespace wtc::callproc {
 
-struct EmulatedLoadConfig {
-  std::uint32_t threads = 16;                          // Table 5
-  double ops_per_second_per_thread = 20.0;             // Table 5
-};
-
 class EmulatedLoadClient final : public sim::Process {
  public:
+  /// Table 5: application threads and each one's operation rate.
+  static constexpr std::uint32_t kThreads = 16;
+  static constexpr double kOpsPerSecondPerThread = 20.0;
+
   EmulatedLoadClient(db::Database& db, sim::Cpu& cpu, common::Rng rng,
-                     EmulatedLoadConfig config, db::NotificationSink* sink);
+                     db::NotificationSink* sink);
 
   void on_start() override;
   void on_stopped() override;
@@ -36,7 +35,6 @@ class EmulatedLoadClient final : public sim::Process {
   db::Database& db_;
   sim::Cpu& cpu_;
   common::Rng rng_;
-  EmulatedLoadConfig config_;
   db::DbApi api_;
   std::uint64_t operations_ = 0;
   bool running_ = false;

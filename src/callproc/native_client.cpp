@@ -16,22 +16,19 @@ constexpr std::uint32_t kAllocRetries = 2;
 
 NativeCallClient::NativeCallClient(db::Database& db, const db::ControllerIds& ids,
                                    sim::Cpu& cpu, common::Rng rng,
-                                   CallClientConfig config,
                                    db::NotificationSink* sink)
     : db_(db),
       ids_(ids),
       cpu_(cpu),
       rng_(rng),
-      config_(config),
       api_(db, [this]() { return this->now(); }) {
   api_.set_audit_hooks(sink);
-  threads_.resize(config_.threads);
 }
 
 void NativeCallClient::on_start() {
   running_ = true;
   api_.init(pid());
-  for (std::uint32_t t = 0; t < config_.threads; ++t) {
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
     schedule_arrival(t);
   }
 }
@@ -58,7 +55,7 @@ void NativeCallClient::schedule_phase(std::uint32_t t, sim::Duration extra_work,
 
 void NativeCallClient::schedule_arrival(std::uint32_t t) {
   const auto wait = static_cast<sim::Duration>(
-      rng_.exponential(static_cast<double>(config_.inter_arrival_mean)));
+      rng_.exponential(static_cast<double>(kInterArrivalMean)));
   const std::uint32_t generation = threads_[t].generation;
   schedule_after(wait, [this, t, generation]() {
     if (running_ && threads_[t].generation == generation) {
@@ -75,7 +72,7 @@ void NativeCallClient::begin_call(std::uint32_t t) {
   thread.alloc_tries = 0;
   thread.holds_records = false;
   ++stats_.calls_attempted;
-  schedule_phase(t, config_.phase_work, &NativeCallClient::phase_auth);
+  schedule_phase(t, kPhaseWork, &NativeCallClient::phase_auth);
 }
 
 void NativeCallClient::phase_auth(std::uint32_t t) {
@@ -102,11 +99,11 @@ void NativeCallClient::phase_auth(std::uint32_t t) {
       db::api_cost(db::ApiOp::ReadFld, api_.instrumented()) * 2;
   if (ok) {
     thread.phase = Phase::Alloc;
-    schedule_phase(t, config_.phase_work + cost, &NativeCallClient::phase_alloc);
+    schedule_phase(t, kPhaseWork + cost, &NativeCallClient::phase_alloc);
     return;
   }
   if (++thread.auth_tries < kAuthRetries) {
-    schedule_phase(t, config_.phase_work + cost, &NativeCallClient::phase_auth);
+    schedule_phase(t, kPhaseWork + cost, &NativeCallClient::phase_auth);
     return;
   }
   ++stats_.auth_failures;
@@ -116,7 +113,7 @@ void NativeCallClient::phase_auth(std::uint32_t t) {
 void NativeCallClient::phase_alloc(std::uint32_t t) {
   auto& thread = threads_[t];
   api_.set_thread_id(t);
-  sim::Duration cost = config_.phase_work;
+  sim::Duration cost = kPhaseWork;
 
   const auto retry = [&](bool count_failure) {
     if (count_failure) {
@@ -231,11 +228,10 @@ void NativeCallClient::phase_alloc(std::uint32_t t) {
   stats_.setup_time_ms.add(static_cast<double>(active_at - thread.arrival) /
                            static_cast<double>(sim::kMillisecond));
 
-  const auto duration = static_cast<sim::Duration>(
-      config_.call_duration_min +
-      static_cast<sim::Duration>(
-          rng_.uniform(static_cast<std::uint64_t>(config_.call_duration_max -
-                                                  config_.call_duration_min))));
+  constexpr auto kDurationSpread =
+      static_cast<std::uint64_t>(kCallDurationMax - kCallDurationMin);
+  const sim::Duration duration =
+      kCallDurationMin + static_cast<sim::Duration>(rng_.uniform(kDurationSpread));
   const std::uint32_t generation = thread.generation;
   // Move long calls to the stable logical group (exercises DBmove).
   schedule_after(static_cast<sim::Duration>(active_at - now()) + duration / 2,
@@ -244,51 +240,12 @@ void NativeCallClient::phase_alloc(std::uint32_t t) {
                      phase_move_stable(t);
                    }
                  });
-  if (config_.supervision_period > 0) {
-    schedule_after(static_cast<sim::Duration>(active_at - now()) +
-                       config_.supervision_period,
-                   [this, t, generation]() {
-                     if (running_ && threads_[t].generation == generation) {
-                       phase_supervise(t);
-                     }
-                   });
-  }
   schedule_after(static_cast<sim::Duration>(active_at - now()) + duration,
                  [this, t, generation]() {
                    if (running_ && threads_[t].generation == generation) {
                      phase_teardown(t);
                    }
                  });
-}
-
-void NativeCallClient::phase_supervise(std::uint32_t t) {
-  auto& thread = threads_[t];
-  if (thread.phase != Phase::Active || !thread.holds_records) {
-    return;
-  }
-  api_.set_thread_id(t);
-  // Call supervision: poll the connection state and channel power level,
-  // as the controller would while the call is up. RecordNotActive means
-  // an audit recovery freed a record under us: the call drops.
-  std::int32_t state = 0;
-  std::int32_t power = 0;
-  const auto s1 =
-      api_.read_fld(ids_.connection, thread.connection_rec, ids_.c_state, state);
-  const auto s2 =
-      api_.read_fld(ids_.resource, thread.resource_rec, ids_.r_power_level, power);
-  cpu_.book(now(), db::api_cost(db::ApiOp::ReadFld, api_.instrumented()) * 2);
-  if (s1 == db::Status::RecordNotActive || s2 == db::Status::RecordNotActive) {
-    release_records(t);
-    ++stats_.calls_dropped;
-    finish_call(t, false);
-    return;
-  }
-  const std::uint32_t generation = thread.generation;
-  schedule_after(config_.supervision_period, [this, t, generation]() {
-    if (running_ && threads_[t].generation == generation) {
-      phase_supervise(t);
-    }
-  });
 }
 
 void NativeCallClient::phase_move_stable(std::uint32_t t) {
@@ -308,7 +265,7 @@ void NativeCallClient::phase_teardown(std::uint32_t t) {
   }
   thread.phase = Phase::Teardown;
   api_.set_thread_id(t);
-  sim::Duration cost = config_.phase_work;
+  sim::Duration cost = kPhaseWork;
 
   // Figure 8 steps 4-5: read back each of the accessed records and compare
   // the data values with the golden local copies.

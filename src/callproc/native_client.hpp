@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "callproc/control.hpp"
 #include "common/rng.hpp"
@@ -35,23 +34,22 @@ namespace wtc::callproc {
 /// retry loop); the MiniVM compilation (vm_program.hpp) uses the same.
 inline constexpr std::uint32_t kAuthRetries = 3;
 
-struct CallClientConfig {
-  std::uint32_t threads = 16;                       // Table 2
-  sim::Duration call_duration_min = 20 * static_cast<sim::Duration>(sim::kSecond);
-  sim::Duration call_duration_max = 30 * static_cast<sim::Duration>(sim::kSecond);
-  sim::Duration inter_arrival_mean = 10 * static_cast<sim::Duration>(sim::kSecond);
-  /// Per-phase non-DB processing cost booked on the CPU (microseconds) —
-  /// the work that makes call setup take paper-scale wall time.
-  sim::Duration phase_work = 40 * static_cast<sim::Duration>(sim::kMillisecond);
-  /// Call-supervision polling: during the active phase the thread re-reads
-  /// its connection state and resource power level at this period (0
-  /// disables). This is how corrupted data reaches the application
-  /// mid-call rather than only at teardown.
-  sim::Duration supervision_period = 2 * static_cast<sim::Duration>(sim::kSecond);
-};
-
 class NativeCallClient final : public sim::Process, public ControllableClient {
  public:
+  /// Table 2's load: call-handling threads, call holding time (uniform in
+  /// [min, max)) and each thread's mean inter-arrival time.
+  static constexpr std::uint32_t kThreads = 16;
+  static constexpr sim::Duration kCallDurationMin =
+      20 * static_cast<sim::Duration>(sim::kSecond);
+  static constexpr sim::Duration kCallDurationMax =
+      30 * static_cast<sim::Duration>(sim::kSecond);
+  static constexpr sim::Duration kInterArrivalMean =
+      10 * static_cast<sim::Duration>(sim::kSecond);
+  /// Per-phase non-DB processing cost booked on the CPU (microseconds) —
+  /// the work that makes call setup take paper-scale wall time.
+  static constexpr sim::Duration kPhaseWork =
+      40 * static_cast<sim::Duration>(sim::kMillisecond);
+
   struct Stats {
     std::uint64_t calls_attempted = 0;
     std::uint64_t calls_completed = 0;      ///< torn down with golden match
@@ -63,8 +61,7 @@ class NativeCallClient final : public sim::Process, public ControllableClient {
   };
 
   NativeCallClient(db::Database& db, const db::ControllerIds& ids, sim::Cpu& cpu,
-                   common::Rng rng, CallClientConfig config,
-                   db::NotificationSink* sink);
+                   common::Rng rng, db::NotificationSink* sink);
 
   void on_start() override;
   void on_stopped() override;
@@ -103,7 +100,6 @@ class NativeCallClient final : public sim::Process, public ControllableClient {
   void phase_auth(std::uint32_t t);
   void phase_alloc(std::uint32_t t);
   void phase_move_stable(std::uint32_t t);
-  void phase_supervise(std::uint32_t t);
   void phase_teardown(std::uint32_t t);
   void finish_call(std::uint32_t t, bool completed);
   void release_records(std::uint32_t t);
@@ -112,9 +108,8 @@ class NativeCallClient final : public sim::Process, public ControllableClient {
   db::ControllerIds ids_;
   sim::Cpu& cpu_;
   common::Rng rng_;
-  CallClientConfig config_;
   db::DbApi api_;
-  std::vector<CallThread> threads_;
+  std::array<CallThread, kThreads> threads_{};
   Stats stats_;
   bool running_ = false;
 };

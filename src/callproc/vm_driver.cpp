@@ -145,7 +145,7 @@ void VmClientDriver::pump() {
       crash(thread.trap());
       return;
     }
-  } else if (thread.instructions_retired() > config_.max_instructions_per_thread &&
+  } else if (thread.instructions_retired() > kMaxInstructionsPerThread &&
              (thread.state() == vm::ThreadState::Runnable ||
               thread.state() == vm::ThreadState::Sleeping)) {
     // Livelock: the thread is spinning without reaching completion.

@@ -31,15 +31,16 @@ namespace wtc::callproc {
 struct VmDriverConfig {
   std::uint32_t threads = 16;
   vm::VmConfig vm{.quantum = 80, .instr_cost = 1, .max_call_depth = 64};
-  /// Livelock bound: a thread burning this many instructions without
-  /// completing is hung (deadlock/livelock per Table 7's Client Hang).
-  std::uint64_t max_instructions_per_thread = 50'000;
 };
 
 class VmClientDriver final : public sim::Process,
                              public ControllableClient,
                              public audit::HealableClient {
  public:
+  /// Livelock bound: a thread burning this many instructions without
+  /// completing is hung (deadlock/livelock per Table 7's Client Hang).
+  static constexpr std::uint64_t kMaxInstructionsPerThread = 50'000;
+
   VmClientDriver(vm::Program program, db::Database& db, sim::Cpu& cpu,
                  common::Rng rng, VmDriverConfig config,
                  db::NotificationSink* sink, vm::ExecMonitor* monitor);

@@ -322,85 +322,83 @@ vm::Program build_call_program(const VmProgramParams& params) {
       .db_free(rT, rR)
       .ret();
 
-  if (params.include_supplementary_features) {
-    // ---------------- cold code ----------------
-    // The emulated client "provides the basic call-processing service ...
-    // without additional features such as call waiting or paging" (§5.1) —
-    // but the binary still contains those feature handlers. They are never
-    // invoked by the basic service, so errors injected into them are never
-    // activated (the paper's sizeable Errors-Not-Activated fraction), and
-    // inter-function padding models alignment gaps in the text segment.
-    b.pad(kPaddingWords);
+  // ---------------- cold code ----------------
+  // The emulated client "provides the basic call-processing service ...
+  // without additional features such as call waiting or paging" (§5.1) —
+  // but the binary still contains those feature handlers. They are never
+  // invoked by the basic service, so errors injected into them are never
+  // activated (the paper's sizeable Errors-Not-Activated fraction), and
+  // inter-function padding models alignment gaps in the text segment.
+  b.pad(kPaddingWords);
 
-    b.label("feature_call_waiting")
-        .loadi(rZ, 0)
-        .loadi(rT, C)
-        .ld(rR, rZ, dConnRec)
-        .db_read_fld(rV, rT, rR, ids.c_state)
-        .loadi(rS, 2)
-        .bge(rV, rS, "cw_busy")
-        .loadi(rV, 2)
-        .db_write_fld(rV, rT, rR, ids.c_state)
-        .rand(rA, 3)
-        .loadi(rB, 0)
-        .beq(rA, rB, "cw_tone")
-        .loadi(rV, 3)
-        .db_write_fld(rV, rT, rR, ids.c_feature_mask)
-        .ret();
-    b.label("cw_tone")
-        .loadi(rV, 4)
-        .db_write_fld(rV, rT, rR, ids.c_feature_mask)
-        .ret();
-    b.label("cw_busy").loadi(rOK, 0).ret();
-    b.pad(kPaddingWords);
+  b.label("feature_call_waiting")
+      .loadi(rZ, 0)
+      .loadi(rT, C)
+      .ld(rR, rZ, dConnRec)
+      .db_read_fld(rV, rT, rR, ids.c_state)
+      .loadi(rS, 2)
+      .bge(rV, rS, "cw_busy")
+      .loadi(rV, 2)
+      .db_write_fld(rV, rT, rR, ids.c_state)
+      .rand(rA, 3)
+      .loadi(rB, 0)
+      .beq(rA, rB, "cw_tone")
+      .loadi(rV, 3)
+      .db_write_fld(rV, rT, rR, ids.c_feature_mask)
+      .ret();
+  b.label("cw_tone")
+      .loadi(rV, 4)
+      .db_write_fld(rV, rT, rR, ids.c_feature_mask)
+      .ret();
+  b.label("cw_busy").loadi(rOK, 0).ret();
+  b.pad(kPaddingWords);
 
-    b.label("feature_paging")
-        .loadi(rZ, 0)
-        .rand(rSub, params.num_subscribers)
-        .loadi(rT, static_cast<std::int32_t>(ids.subscriber))
-        .mov(rR, rSub)
-        .db_read_fld(rV, rT, rR, 2)  // privileges field
-        .loadi(rS, 1)
-        .blt(rV, rS, "page_denied")
-        .loadi(rTry, 3)
-        .label("page_retry")
-        .rand(rA, 100)
-        .loadi(rB, 50)
-        .blt(rA, rB, "page_acked")
-        .addi(rTry, rTry, -1)
-        .loadi(rB, 0)
-        .bne(rTry, rB, "page_retry")
-        .label("page_denied")
-        .loadi(rOK, 0)
-        .ret();
-    b.label("page_acked").loadi(rOK, 1).ret();
-    b.pad(kPaddingWords);
+  b.label("feature_paging")
+      .loadi(rZ, 0)
+      .rand(rSub, params.num_subscribers)
+      .loadi(rT, static_cast<std::int32_t>(ids.subscriber))
+      .mov(rR, rSub)
+      .db_read_fld(rV, rT, rR, 2)  // privileges field
+      .loadi(rS, 1)
+      .blt(rV, rS, "page_denied")
+      .loadi(rTry, 3)
+      .label("page_retry")
+      .rand(rA, 100)
+      .loadi(rB, 50)
+      .blt(rA, rB, "page_acked")
+      .addi(rTry, rTry, -1)
+      .loadi(rB, 0)
+      .bne(rTry, rB, "page_retry")
+      .label("page_denied")
+      .loadi(rOK, 0)
+      .ret();
+  b.label("page_acked").loadi(rOK, 1).ret();
+  b.pad(kPaddingWords);
 
-    b.label("handle_handoff")
-        .loadi(rZ, 0)
-        .loadi(rT, R)
-        .ld(rR, rZ, dResRec)
-        .db_read_fld(rV, rT, rR, ids.r_power_level)
-        .loadi(rS, 20)
-        .bge(rV, rS, "handoff_keep")
-        // Weak signal: re-point the channel at a neighbouring cell and
-        // bump the power budget.
-        .loadi(rV, 80)
-        .db_write_fld(rV, rT, rR, ids.r_power_level)
-        .db_read_fld(rV, rT, rR, ids.r_capability)
-        .loadi(rS, 1)
-        .sub(rV, rV, rS)
-        .loadi(rS, 0)
-        .bge(rV, rS, "handoff_store")
-        .loadi(rV, 0)
-        .label("handoff_store")
-        .db_write_fld(rV, rT, rR, ids.r_capability)
-        .call("handoff_notify")
-        .ret();
-    b.label("handoff_keep").loadi(rOK, 1).ret();
-    b.label("handoff_notify").loadi(rZ, 0).nop().nop().ret();
-    b.pad(kPaddingWords);
-  }
+  b.label("handle_handoff")
+      .loadi(rZ, 0)
+      .loadi(rT, R)
+      .ld(rR, rZ, dResRec)
+      .db_read_fld(rV, rT, rR, ids.r_power_level)
+      .loadi(rS, 20)
+      .bge(rV, rS, "handoff_keep")
+      // Weak signal: re-point the channel at a neighbouring cell and
+      // bump the power budget.
+      .loadi(rV, 80)
+      .db_write_fld(rV, rT, rR, ids.r_power_level)
+      .db_read_fld(rV, rT, rR, ids.r_capability)
+      .loadi(rS, 1)
+      .sub(rV, rV, rS)
+      .loadi(rS, 0)
+      .bge(rV, rS, "handoff_store")
+      .loadi(rV, 0)
+      .label("handoff_store")
+      .db_write_fld(rV, rT, rR, ids.r_capability)
+      .call("handoff_notify")
+      .ret();
+  b.label("handoff_keep").loadi(rOK, 1).ret();
+  b.label("handoff_notify").loadi(rZ, 0).nop().nop().ret();
+  b.pad(kPaddingWords);
 
   return std::move(b).build(/*data_words=*/64);
 }

@@ -30,14 +30,13 @@ struct VmProgramParams {
   db::ControllerIds ids;
   std::int32_t num_subscribers = 64;
   std::int32_t calls_per_thread = 2;
-  /// Include the never-invoked supplementary-feature handlers (call
-  /// waiting, paging, handoff) plus inter-function padding — cold text the
-  /// injector can hit without the error ever activating (§5.1 / §6.1.2).
-  bool include_supplementary_features = true;
 };
 
 /// Builds the per-thread call-processing program. Every thread of the
 /// client process runs this same text (threads share the text segment).
+/// The text also holds the never-invoked supplementary-feature handlers
+/// (call waiting, paging, handoff) plus inter-function padding — cold text
+/// the injector can hit without the error ever activating (§5.1 / §6.1.2).
 [[nodiscard]] vm::Program build_call_program(const VmProgramParams& params);
 
 }  // namespace wtc::callproc

@@ -40,8 +40,8 @@ AuditRunResult run_audit_experiment(const AuditRunParams& params) {
   if (params.audits_enabled) {
     stack.deploy_audit(audit_config, Supervision::Manager);
   }
-  const auto client = stack.spawn_native_client(
-      params.client, recording ? &oplog : stack.audit_sink());
+  const auto client =
+      stack.spawn_native_client(recording ? &oplog : stack.audit_sink());
   if (params.injections_enabled) {
     stack.spawn_db_injector(params.injector);
   }

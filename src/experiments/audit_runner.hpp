@@ -26,7 +26,6 @@ struct AuditRunParams {
   /// Spawn the corruption injector (off for clean recording runs: a
   /// clean run's region must be explainable by its op log alone).
   bool injections_enabled = true;
-  callproc::CallClientConfig client;
   inject::DbInjectorConfig injector;
   audit::AuditProcessConfig audit;
   db::ControllerSchemaParams schema;

@@ -71,10 +71,10 @@ std::shared_ptr<audit::AuditProcess> ControllerStack::audit() const {
 }
 
 std::shared_ptr<callproc::NativeCallClient> ControllerStack::spawn_native_client(
-    const callproc::CallClientConfig& config, db::NotificationSink* sink) {
+    db::NotificationSink* sink) {
   auto client = std::make_shared<callproc::NativeCallClient>(
       *database_, db::resolve_controller_ids(database_->schema()), cpu_,
-      rng_.fork(1), config, sink);
+      rng_.fork(1), sink);
   spawn_client(client);
   return client;
 }

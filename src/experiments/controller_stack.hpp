@@ -100,7 +100,7 @@ class ControllerStack {
   }
   /// The native call-processing client, on RNG stream 1.
   std::shared_ptr<callproc::NativeCallClient> spawn_native_client(
-      const callproc::CallClientConfig& config, db::NotificationSink* sink);
+      db::NotificationSink* sink);
   /// The database bit-flip injector, on RNG stream 2.
   void spawn_db_injector(const inject::DbInjectorConfig& config);
 

@@ -164,9 +164,10 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
                                        stack.rng().fork(9), params.injector);
   injector.arm();
 
-  const auto deadline = static_cast<sim::Time>(params.deadline);
+  // Virtual-time budget per run; exceeding it without completing = hang.
+  constexpr sim::Time kDeadline = 60 * sim::kSecond;
   std::optional<sim::Time> client_done;
-  while (scheduler.now() < deadline) {
+  while (scheduler.now() < kDeadline) {
     if (!driver->finished()) {
       client_done.reset();
     } else if (!client_done) {

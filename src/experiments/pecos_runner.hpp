@@ -25,8 +25,6 @@ struct PecosRunParams {
   inject::ClientInjectorConfig injector;
   std::uint32_t threads = 16;
   std::int32_t calls_per_thread = 2;
-  /// Virtual-time budget per run; exceeding it without completing = hang.
-  sim::Duration deadline = 60 * static_cast<sim::Duration>(sim::kSecond);
   std::uint64_t seed = 1;
 
   // --- ACFA extensions (PECOS/PostCheck modes only; both need the CFG

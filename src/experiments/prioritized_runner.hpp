@@ -6,9 +6,7 @@
 #pragma once
 
 #include "audit/process.hpp"
-#include "callproc/emulated_client.hpp"
 #include "common/stats.hpp"
-#include "db/controller_schema.hpp"
 #include "inject/db_injector.hpp"
 
 namespace wtc::experiments {
@@ -23,14 +21,7 @@ struct PrioritizedRunParams {
   /// Temporal error process (Table 5 uses Exponential; Bursty exists for
   /// the error-history ablation).
   inject::ArrivalModel arrival = inject::ArrivalModel::Exponential;
-  callproc::EmulatedLoadConfig load;
   audit::PriorityWeights weights;
-  /// Scale 64 puts the hot tables' consumption time on the order of the
-  /// prioritized audit interval — the regime where checking hot tables
-  /// more often actually intercepts escapes (and where the cold bulk
-  /// table's slightly longer interval shows up as the small latency
-  /// increase the paper reports under uniform errors).
-  db::BenchSchemaParams schema{.scale = 64};
   std::uint64_t seed = 1;
 };
 

@@ -21,7 +21,7 @@ ShardedController::ShardedController(db::ShardedDb& db,
       return raw->node.spawn("audit", raw->audit);
     };
     shard->managers =
-        manager::spawn_manager_pair(raw->node, factory, config_.manager);
+        manager::spawn_manager_pair(raw->node, factory);
     // Drain the spawn-time events so the audit process exists (and its
     // engine is addressable) before the constructor returns.
     shard->scheduler.run_until(0);

@@ -38,8 +38,6 @@ struct ShardedControllerConfig {
   /// Per-shard audit process configuration (engine.audit_threads,
   /// engine.cycle_budget, periodic_enabled, ... apply shard-locally).
   audit::AuditProcessConfig audit;
-  /// Per-shard duplicated-manager configuration.
-  manager::ManagerConfig manager;
 };
 
 /// Findings collected from one shard's audit stack (every Finding carries

@@ -78,7 +78,7 @@ void ClientErrorInjector::plant() {
     saved_word_ = process_.live_text()[target_pc_];
     process_.live_text()[target_pc_] = saved_word_ ^ (1ull << bit_);
   }
-  scheduler_.schedule_after(static_cast<sim::Time>(config_.error_window),
+  scheduler_.schedule_after(static_cast<sim::Time>(kErrorWindow),
                             [this]() { restore(); });
 }
 

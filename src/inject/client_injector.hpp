@@ -41,9 +41,6 @@ enum class InjectTarget : std::uint8_t { Random, DirectedCFI };
 struct ClientInjectorConfig {
   ErrorModel model = ErrorModel::DATAInF;
   InjectTarget target = InjectTarget::Random;
-  /// How long the planted error stays before restoration (the window in
-  /// which other threads can co-activate it).
-  sim::Duration error_window = 2 * static_cast<sim::Duration>(sim::kMillisecond);
 };
 
 /// One injection campaign step bound to a VmProcess. Arm it before the
@@ -51,6 +48,11 @@ struct ClientInjectorConfig {
 /// restores the pristine word after the window.
 class ClientErrorInjector {
  public:
+  /// How long the planted error stays before restoration (the window in
+  /// which other threads can co-activate it).
+  static constexpr sim::Duration kErrorWindow =
+      2 * static_cast<sim::Duration>(sim::kMillisecond);
+
   ClientErrorInjector(vm::VmProcess& process, sim::Scheduler& scheduler,
                       common::Rng rng, ClientInjectorConfig config);
 

@@ -21,9 +21,6 @@ void DbErrorInjector::on_start() {
 }
 
 void DbErrorInjector::schedule_next() {
-  if (config_.max_injections != 0 && injected_ >= config_.max_injections) {
-    return;
-  }
   if (config_.arrival == ArrivalModel::Bursty) {
     // A burst of correlated flips around one site, then a gap sized so the
     // long-run rate still averages one error per inter_arrival.
@@ -45,8 +42,7 @@ void DbErrorInjector::schedule_next() {
 }
 
 void DbErrorInjector::run_burst(std::uint64_t remaining) {
-  if (remaining == 0 ||
-      (config_.max_injections != 0 && injected_ >= config_.max_injections)) {
+  if (remaining == 0) {
     schedule_next();
     return;
   }

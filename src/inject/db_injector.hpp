@@ -39,8 +39,6 @@ struct DbInjectorConfig {
   sim::Duration inter_arrival = 20 * static_cast<sim::Duration>(sim::kSecond);
   ArrivalModel arrival = ArrivalModel::Fixed;
   ErrorDistribution distribution = ErrorDistribution::UniformWholeRegion;
-  /// Stop after this many injections (0 = unlimited).
-  std::uint64_t max_injections = 0;
 
   /// Whether flips go through the database store (visible to write-time
   /// dirty tracking, like the wild writes of a faulty software component —

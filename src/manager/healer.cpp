@@ -224,11 +224,18 @@ void CfHealer::replay_op(const db::ApiEvent& op) {
       break;
     }
     case db::ApiOp::Free: {
+      // As DBfree_rec: the header goes free and the data portion back to
+      // the catalog defaults, so no replayed WriteRec outlives the free.
       auto header = db::load_record_header(region, at);
       header.status = db::kStatusFree;
       header.group = 0;
       db::store_record_header(region, at, header);
-      db_.note_write(at, db::kRecordHeaderSize);
+      const auto& fields = db_.schema().tables[op.table].fields;
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        db::store_i32(region, at + db::kRecordHeaderSize + f * 4,
+                      fields[f].default_value);
+      }
+      db_.note_write(at, layout.table(op.table).record_size);
       break;
     }
     case db::ApiOp::Move: {

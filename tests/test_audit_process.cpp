@@ -110,7 +110,6 @@ TEST(AuditProcess, ProgressIndicatorKillsLockWedgedClient) {
   AuditProcessConfig config;
   config.period = 3600 * static_cast<sim::Duration>(sim::kSecond);
   config.progress_timeout = 2 * static_cast<sim::Duration>(sim::kSecond);
-  config.lock_hold_threshold = 100 * static_cast<sim::Duration>(sim::kMillisecond);
   h.spawn_audit(config);
 
   // A client acquires a lock and dies without releasing it.
@@ -164,15 +163,17 @@ TEST(AuditProcess, LowResourceTriggerReclaimsLeakedRecords) {
   AuditProcessConfig config;
   config.period = 3600 * static_cast<sim::Duration>(sim::kSecond);  // periodic idle
   config.low_resource_trigger = true;
-  config.low_water_fraction = 0.5;
-  config.low_resource_period = 2 * static_cast<sim::Duration>(sim::kSecond);
   h.spawn_audit(config);
 
-  // Leak most of the Process table: active records that reference nothing
-  // and are referenced by nothing (orphaned "zombie" resources).
+  // Leak most of the Process table, past the low-water mark: active records
+  // that reference nothing and are referenced by nothing (orphaned "zombie"
+  // resources).
   const auto ids = db::resolve_controller_ids(h.db->schema());
   const auto& spec = h.db->schema().tables[ids.process];
-  const auto leaked = static_cast<db::RecordIndex>(spec.num_records * 3 / 4);
+  const auto leaked = static_cast<db::RecordIndex>(spec.num_records * 9 / 10);
+  ASSERT_LT(static_cast<double>(spec.num_records - leaked) /
+                static_cast<double>(spec.num_records),
+            LowResourceTriggerElement::kLowWaterFraction);
   for (db::RecordIndex r = 0; r < leaked; ++r) {
     const std::size_t at = h.db->layout().record_offset(ids.process, r);
     auto header = db::load_record_header(h.db->region(), at);
@@ -182,7 +183,7 @@ TEST(AuditProcess, LowResourceTriggerReclaimsLeakedRecords) {
   }
   db::direct::relink_table(*h.db, ids.process);
 
-  h.scheduler.run_until(10 * sim::kSecond);
+  h.scheduler.run_until(2 * static_cast<sim::Time>(LowResourceTriggerElement::kPeriod));
 
   // The trigger fired and the orphan sweep reclaimed the leak.
   std::uint32_t still_active = 0;

@@ -20,22 +20,12 @@ struct Env {
   db::ControllerIds ids;
 };
 
-CallClientConfig fast_config() {
-  CallClientConfig config;
-  config.threads = 8;
-  config.call_duration_min = 2 * static_cast<sim::Duration>(sim::kSecond);
-  config.call_duration_max = 3 * static_cast<sim::Duration>(sim::kSecond);
-  config.inter_arrival_mean = 1 * static_cast<sim::Duration>(sim::kSecond);
-  config.phase_work = 5 * static_cast<sim::Duration>(sim::kMillisecond);
-  return config;
-}
-
 TEST(NativeClient, ErrorFreeRunCompletesCallsCleanly) {
   Env env;
   auto client = std::make_shared<NativeCallClient>(
-      *env.db, env.ids, env.cpu, common::Rng(1), fast_config(), nullptr);
+      *env.db, env.ids, env.cpu, common::Rng(1), nullptr);
   env.node.spawn("client", client);
-  env.scheduler.run_until(120 * sim::kSecond);
+  env.scheduler.run_until(400 * sim::kSecond);
 
   const auto& stats = client->stats();
   EXPECT_GT(stats.calls_attempted, 50u);
@@ -49,7 +39,7 @@ TEST(NativeClient, ErrorFreeRunCompletesCallsCleanly) {
 TEST(NativeClient, ReleasesAllRecordsAfterCalls) {
   Env env;
   auto client = std::make_shared<NativeCallClient>(
-      *env.db, env.ids, env.cpu, common::Rng(2), fast_config(), nullptr);
+      *env.db, env.ids, env.cpu, common::Rng(2), nullptr);
   env.node.spawn("client", client);
   env.scheduler.run_until(200 * sim::kSecond);
   env.node.kill(client->pid());
@@ -64,13 +54,13 @@ TEST(NativeClient, ReleasesAllRecordsAfterCalls) {
       ++active;
     }
   }
-  EXPECT_LE(active, 8u);
+  EXPECT_LE(active, NativeCallClient::kThreads);
 }
 
 TEST(NativeClient, GoldenCompareCatchesForeignCorruption) {
   Env env;
   auto client = std::make_shared<NativeCallClient>(
-      *env.db, env.ids, env.cpu, common::Rng(3), fast_config(), nullptr);
+      *env.db, env.ids, env.cpu, common::Rng(3), nullptr);
   env.node.spawn("client", client);
 
   // Periodically corrupt every active Connection caller_id; with no
@@ -95,12 +85,12 @@ TEST(NativeClient, GoldenCompareCatchesForeignCorruption) {
 TEST(NativeClient, TerminateThreadDropsCallAndRecovers) {
   Env env;
   auto client = std::make_shared<NativeCallClient>(
-      *env.db, env.ids, env.cpu, common::Rng(4), fast_config(), nullptr);
+      *env.db, env.ids, env.cpu, common::Rng(4), nullptr);
   env.node.spawn("client", client);
   env.scheduler.run_until(5 * sim::kSecond);
 
   const auto dropped_before = client->stats().calls_dropped;
-  for (std::uint32_t t = 0; t < 8; ++t) {
+  for (std::uint32_t t = 0; t < NativeCallClient::kThreads; ++t) {
     client->control_terminate_thread(t);
   }
   // Threads with calls in flight dropped them...
@@ -126,7 +116,7 @@ TEST(NativeClient, InstrumentedClientSendsNotifications) {
   };
   CountingSink sink;
   auto client = std::make_shared<NativeCallClient>(
-      *env.db, env.ids, env.cpu, common::Rng(5), fast_config(), &sink);
+      *env.db, env.ids, env.cpu, common::Rng(5), &sink);
   env.node.spawn("client", client);
   env.scheduler.run_until(30 * sim::kSecond);
   EXPECT_GT(sink.events, 100u);
@@ -140,7 +130,7 @@ TEST(NativeClient, InstrumentedClientSendsNotifications) {
 TEST(NativeClient, CpuContentionSlowsSetup) {
   Env env;
   auto client = std::make_shared<NativeCallClient>(
-      *env.db, env.ids, env.cpu, common::Rng(6), fast_config(), nullptr);
+      *env.db, env.ids, env.cpu, common::Rng(6), nullptr);
   env.node.spawn("client", client);
   // A competing CPU hog books 40ms of work every 100ms.
   std::function<void()> hog = [&]() {
@@ -153,7 +143,7 @@ TEST(NativeClient, CpuContentionSlowsSetup) {
 
   Env env2;
   auto client2 = std::make_shared<NativeCallClient>(
-      *env2.db, env2.ids, env2.cpu, common::Rng(6), fast_config(), nullptr);
+      *env2.db, env2.ids, env2.cpu, common::Rng(6), nullptr);
   env2.node.spawn("client", client2);
   env2.scheduler.run_until(60 * sim::kSecond);
   const double uncontended = client2->stats().setup_time_ms.mean();
@@ -174,11 +164,8 @@ TEST(EmulatedClient, GeneratesLoadWithRequestedRatios) {
   };
   NullSink sink;
 
-  EmulatedLoadConfig config;
-  config.threads = 16;
-  config.ops_per_second_per_thread = 20.0;
-  auto client = std::make_shared<EmulatedLoadClient>(db, cpu, common::Rng(1),
-                                                     config, &sink);
+  auto client =
+      std::make_shared<EmulatedLoadClient>(db, cpu, common::Rng(1), &sink);
   node.spawn("client", client);
   scheduler.run_until(30 * sim::kSecond);
 
@@ -202,8 +189,8 @@ TEST(EmulatedClient, WritesStayWithinCatalogRanges) {
   db::Database db(db::make_bench_schema());
   db::activate_all_records(db);
 
-  auto client = std::make_shared<EmulatedLoadClient>(db, cpu, common::Rng(2),
-                                                     EmulatedLoadConfig{}, nullptr);
+  auto client =
+      std::make_shared<EmulatedLoadClient>(db, cpu, common::Rng(2), nullptr);
   node.spawn("client", client);
   scheduler.run_until(20 * sim::kSecond);
 

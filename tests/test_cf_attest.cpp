@@ -343,6 +343,84 @@ TEST_F(HealerTest, RestoresReplaysReleasesAndRestarts) {
   EXPECT_TRUE(reported);
 }
 
+TEST_F(HealerTest, ReplaysFreeMoveAndWriteRecOps) {
+  // Thread 1's trusted tail, all before the violation: one connection
+  // record runs a whole lifecycle (Alloc -> Move -> WriteRec -> Free) and
+  // one resource record is allocated and written but still held.
+  api_.set_thread_id(1);
+  const auto values_for = [this](db::TableId t, std::int32_t base) {
+    std::vector<std::int32_t> values(db_->schema().tables[t].fields.size());
+    for (std::size_t f = 0; f < values.size(); ++f) {
+      values[f] = base + static_cast<std::int32_t>(f);
+    }
+    return values;
+  };
+  now_ = 10;
+  db::RecordIndex c = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.connection, db::kGroupActiveCalls, c),
+            db::Status::Ok);
+  now_ = 11;
+  ASSERT_EQ(api_.move_rec(ids_.connection, c, db::kGroupStableCalls),
+            db::Status::Ok);
+  now_ = 12;
+  ASSERT_EQ(api_.write_rec(ids_.connection, c, values_for(ids_.connection, 100)),
+            db::Status::Ok);
+  now_ = 13;
+  ASSERT_EQ(api_.free_rec(ids_.connection, c), db::Status::Ok);
+  now_ = 14;
+  db::RecordIndex r = 0;
+  ASSERT_EQ(api_.alloc_rec(ids_.resource, db::kGroupActiveCalls, r),
+            db::Status::Ok);
+  now_ = 15;
+  ASSERT_EQ(api_.write_rec(ids_.resource, r, values_for(ids_.resource, 200)),
+            db::Status::Ok);
+  // An entry no mutating op made (a forged TxnBegin) replays as nothing.
+  db::ApiEvent forged;
+  forged.op = db::ApiOp::TxnBegin;
+  forged.is_update = true;
+  forged.thread = 1;
+  forged.table = ids_.resource;
+  forged.record = r;
+  forged.time = 16;
+  op_log_.on_api_event(forged);
+  ASSERT_EQ(op_log_.ops(1).size(), 7u);
+
+  // The bad transfer corrupts both records' fields.
+  now_ = 20;
+  db::direct::write_field(*db_, ids_.connection, c, 1, -777);
+  db::direct::write_field(*db_, ids_.resource, r, 1, -777);
+
+  auto healer = make_healer();
+  audit::CfViolation violation;
+  violation.client = 1;
+  violation.thread = 1;
+  violation.time = 20;
+  violation.source = audit::CfSource::Attestation;
+  now_ = 21;
+  ASSERT_TRUE(healer.heal(violation));
+
+  // Every mutating op of the tail was replayed over the restored records.
+  EXPECT_EQ(healer.replayed_ops(), 6u);
+  EXPECT_EQ(healer.restored_records(), 2u);
+  // Both records end free with clean headers and their catalog defaults:
+  // the connection through its replayed Free (which scrubs the fields the
+  // replayed WriteRec set, as DBfree_rec does), the resource because the
+  // restarted thread no longer holds it.
+  for (const auto& [t, rec] :
+       {std::pair{ids_.connection, c}, std::pair{ids_.resource, r}}) {
+    const auto header = db::direct::read_header(*db_, t, rec);
+    EXPECT_EQ(header.status, db::kStatusFree) << "table " << t;
+    EXPECT_EQ(header.group, 0u) << "table " << t;
+    EXPECT_EQ(header.id_tag, db::expected_id_tag(t, rec)) << "table " << t;
+    const auto& fields = db_->schema().tables[t].fields;
+    for (db::FieldId f = 0; f < fields.size(); ++f) {
+      EXPECT_EQ(db::direct::read_field(*db_, t, rec, f), fields[f].default_value)
+          << "table " << t << " field " << f;
+    }
+  }
+  EXPECT_EQ(client_.restarted, std::vector<std::uint32_t>{1u});
+}
+
 TEST_F(HealerTest, DoubleReportOfSameViolationHealsOnce) {
   api_.set_thread_id(1);
   now_ = 10;
@@ -456,14 +534,12 @@ TEST(QuarantineReenable, CooldownRestoresElementAfterCleanWindow) {
   audit::AuditProcessConfig config;
   config.periodic_enabled = false;
   config.progress_indicator = false;
-  config.quarantine_max_faults = 2;
-  config.quarantine_window = static_cast<sim::Duration>(sim::kSecond);
   auto audit = std::make_shared<audit::AuditProcess>(*db, cpu, config, &sink,
                                                      nullptr);
   audit->add_element(std::make_unique<CrashyElement>());
   const auto audit_pid = node.spawn("audit", audit);
 
-  for (std::uint64_t i = 0; i < 2; ++i) {
+  for (std::uint64_t i = 0; i < audit::kQuarantineMaxFaults; ++i) {
     sim::Message poison;
     poison.type = kPoisonMessage;
     node.send(audit_pid, poison,
@@ -475,7 +551,7 @@ TEST(QuarantineReenable, CooldownRestoresElementAfterCleanWindow) {
   EXPECT_EQ(audit->quarantined_count(), 1u);
 
   // A clean quarantine window later, the element is restored.
-  scheduler.run_until(3 * sim::kSecond);
+  scheduler.run_until(static_cast<sim::Time>(audit::kQuarantineWindow) + sim::kSecond);
   EXPECT_FALSE(audit->element_disabled("crashy"));
   EXPECT_EQ(audit->reenabled_count(), 1u);
   EXPECT_EQ(audit->quarantined_count(), 0u);
@@ -490,35 +566,9 @@ TEST(QuarantineReenable, CooldownRestoresElementAfterCleanWindow) {
   sim::Message poison;
   poison.type = kPoisonMessage;
   node.send(audit_pid, poison);
-  scheduler.run_until(4 * sim::kSecond);
-  EXPECT_GE(audit->element_faults(), 3u);
-}
-
-TEST(QuarantineReenable, DisabledWhenConfiguredOff) {
-  sim::Scheduler scheduler;
-  sim::Node node(scheduler);
-  sim::Cpu cpu;
-  auto db = db::make_controller_database();
-  CollectingSink sink;
-
-  audit::AuditProcessConfig config;
-  config.periodic_enabled = false;
-  config.progress_indicator = false;
-  config.quarantine_max_faults = 2;
-  config.quarantine_window = static_cast<sim::Duration>(sim::kSecond);
-  config.quarantine_reenable = false;
-  auto audit = std::make_shared<audit::AuditProcess>(*db, cpu, config, &sink,
-                                                     nullptr);
-  audit->add_element(std::make_unique<CrashyElement>());
-  const auto audit_pid = node.spawn("audit", audit);
-  for (int i = 0; i < 2; ++i) {
-    sim::Message poison;
-    poison.type = kPoisonMessage;
-    node.send(audit_pid, poison);
-  }
-  scheduler.run_until(10 * sim::kSecond);
-  EXPECT_TRUE(audit->element_disabled("crashy"));
-  EXPECT_EQ(audit->reenabled_count(), 0u);
+  scheduler.run_until(static_cast<sim::Time>(audit::kQuarantineWindow) +
+                      2 * sim::kSecond);
+  EXPECT_GE(audit->element_faults(), audit::kQuarantineMaxFaults + 1u);
 }
 
 // --- end-to-end: detect, route through the active manager, heal ------------

@@ -123,8 +123,9 @@ TEST(Escalation, FindingExactlyAtWindowBoundaryStillCounts) {
 TEST(Escalation, CooldownSuppressesReloadWithoutResettingWindow) {
   auto db = db::make_controller_database();
   EscalationConfig config;
-  config.window = 30 * static_cast<sim::Duration>(sim::kSecond);
-  config.cooldown = 10 * static_cast<sim::Duration>(sim::kSecond);
+  // A window longer than the cooldown, so findings from inside the
+  // cooldown are still in the window when it expires.
+  config.window = 90 * static_cast<sim::Duration>(sim::kSecond);
   config.table_reload_threshold = 3;
   EscalationPolicy policy(*db, config);
   CollectingSink sink;
@@ -145,7 +146,7 @@ TEST(Escalation, CooldownSuppressesReloadWithoutResettingWindow) {
   // escalation finding is re-reported.
   const std::size_t findings_reported = sink.findings.size();
   for (int i = 0; i < 3; ++i) {
-    now += sim::kSecond;  // 13 s, 14 s, 15 s — inside the 10 s cooldown
+    now += sim::kSecond;  // 13 s, 14 s, 15 s — inside the 60 s cooldown
     EXPECT_EQ(policy.on_finding(finding_on(2, now), now, &sink),
               Recovery::None);
   }
@@ -156,7 +157,7 @@ TEST(Escalation, CooldownSuppressesReloadWithoutResettingWindow) {
   // accumulated during cooldown still count once it expires, so the very
   // first finding after the boundary escalates immediately. (Exactly at
   // the boundary, too: the cooldown test is strict `<`.)
-  now = escalated_at + static_cast<sim::Time>(config.cooldown);  // 22 s
+  now = escalated_at + static_cast<sim::Time>(kEscalationCooldown);  // 72 s
   EXPECT_EQ(policy.on_finding(finding_on(2, now), now, &sink),
             Recovery::ReloadSpan);
   EXPECT_EQ(policy.table_reloads(), 2u);
@@ -167,7 +168,6 @@ TEST(Escalation, MultiTableDegenerationTriggersFullReload) {
   const auto ids = db::resolve_controller_ids(db->schema());
   EscalationConfig config;
   config.table_reload_threshold = 3;
-  config.full_reload_threshold = 3;
   EscalationPolicy policy(*db, config);
   CollectingSink sink;
 

@@ -240,7 +240,6 @@ TEST(Quarantine, CrashingElementIsDisabledWhileOthersKeepDetecting) {
   Env env;
   audit::AuditProcessConfig config;
   config.period = sim::kSecond;
-  config.quarantine_max_faults = 3;
   const auto audit_pid = env.audit_factory(config)();
   env.audit->add_element(std::make_unique<CrashyElement>());
 
@@ -281,20 +280,18 @@ TEST(Quarantine, SlowFaultRateOutsideWindowIsTolerated) {
   Env env;
   audit::AuditProcessConfig config;
   config.period = 3600 * static_cast<sim::Duration>(sim::kSecond);
-  config.quarantine_max_faults = 3;
-  config.quarantine_window = sim::kSecond;
   const auto audit_pid = env.audit_factory(config)();
   env.audit->add_element(std::make_unique<CrashyElement>());
 
-  // One fault every 2 s: never 3 inside any 1 s window.
+  // One fault every 6 s: never 3 inside any 10 s window.
   for (int i = 0; i < 6; ++i) {
     sim::Message poison;
     poison.type = kPoisonMessage;
     env.node.send(audit_pid, poison,
                   static_cast<sim::Duration>(i) *
-                      static_cast<sim::Duration>(2 * sim::kSecond));
+                      static_cast<sim::Duration>(6 * sim::kSecond));
   }
-  env.scheduler.run_until(20 * sim::kSecond);
+  env.scheduler.run_until(40 * sim::kSecond);
 
   EXPECT_EQ(env.audit->element_faults(), 6u);
   EXPECT_FALSE(env.audit->element_disabled("crashy"));

@@ -15,11 +15,15 @@ AuditRunParams short_audit_params(bool audits) {
   AuditRunParams params;
   params.duration = 300 * static_cast<sim::Duration>(sim::kSecond);
   params.audits_enabled = audits;
-  params.client.threads = 8;
-  params.client.call_duration_min = 5 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.call_duration_max = 8 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.inter_arrival_mean = 2 * static_cast<sim::Duration>(sim::kSecond);
-  params.client.phase_work = 10 * static_cast<sim::Duration>(sim::kMillisecond);
+  // Table-2 table sizes and audit cost scale: the client's Table-2 load
+  // keeps most records live, so injected errors land in data the calls
+  // use, and audit passes contend with call setup for the CPU.
+  params.schema.process_records = 16;
+  params.schema.connection_records = 16;
+  params.schema.resource_records = 20;
+  params.schema.config_records = 8;
+  params.schema.subscriber_records = 16;
+  params.audit.engine.cost_scale = 80.0;
   params.injector.inter_arrival = 4 * static_cast<sim::Duration>(sim::kSecond);
   params.audit.period = 5 * static_cast<sim::Duration>(sim::kSecond);
   params.seed = 42;
@@ -79,7 +83,6 @@ TEST(PrioritizedExperiment, PrioritizedAuditKeepsEscapesInCheck) {
   PrioritizedRunParams params;
   params.duration = 400 * static_cast<sim::Duration>(sim::kSecond);
   params.error_mtbf = 2 * static_cast<sim::Duration>(sim::kSecond);
-  params.schema.scale = 8;  // small database: the test checks sanity, not effect size
   params.seed = 7;
 
   params.prioritized = false;

@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
+#include <string>
+#include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "audit/engine.hpp"
 #include "audit/replay.hpp"
+#include "common/crc32.hpp"
 #include "db/api.hpp"
 #include "db/controller_schema.hpp"
 #include "db/run_op_log.hpp"
@@ -157,6 +163,177 @@ TEST(OpLogFormat, RejectsBadMagicTruncationAndBadCrc) {
   const db::OpLogReadResult result = db::decode_op_log(bad_crc);
   EXPECT_EQ(result.error, db::OpLogError::BadCrc);
   EXPECT_TRUE(result.events.empty());
+}
+
+/// A log image: the file header, then one chunk per payload, each framed
+/// with its true length and CRC, so the decoder gets past the frame and
+/// meets whatever the payload holds.
+std::vector<std::uint8_t> framed_log(
+    const std::vector<std::pair<std::vector<std::uint8_t>, std::uint32_t>>& chunks) {
+  std::vector<std::uint8_t> out;
+  const auto put32 = [&out](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put32(db::kOpLogMagic);
+  put32(db::kOpLogVersion);
+  for (const auto& [payload, events] : chunks) {
+    put32(static_cast<std::uint32_t>(payload.size()));
+    put32(events);
+    put32(common::crc32(std::as_bytes(std::span(payload))));
+    out.insert(out.end(), payload.begin(), payload.end());
+  }
+  return out;
+}
+
+/// Header (8 bytes) plus one chunk frame (12 bytes): where the first
+/// chunk's payload starts.
+constexpr std::size_t kFirstPayload = 20;
+
+void expect_error(const std::vector<std::uint8_t>& bytes, db::OpLogError error,
+                  std::size_t offset, const char* what) {
+  const db::OpLogReadResult result = db::decode_op_log(bytes);
+  EXPECT_EQ(result.error, error) << what << ": " << db::to_string(result.error);
+  EXPECT_EQ(result.error_offset, offset) << what;
+  EXPECT_TRUE(result.events.empty()) << what;
+}
+
+TEST(OpLogFormat, EveryDecoderErrorIsTypedWithItsOffset) {
+  // One valid event: Alloc, Ok, update; dt 0, client 1, thread 0, table 2,
+  // record 3, group 1, field 0, two payload words (zigzag 4 -> 2, 6 -> 3).
+  const std::vector<std::uint8_t> good = {
+      static_cast<std::uint8_t>(db::ApiOp::Alloc), 0, 1, 0, 1, 0, 2, 3, 1, 0, 2, 4, 6};
+  {
+    const db::OpLogReadResult ok = db::decode_op_log(framed_log({{good, 1}}));
+    ASSERT_TRUE(ok.ok()) << db::to_string(ok.error);
+    ASSERT_EQ(ok.events.size(), 1u);
+    EXPECT_EQ(ok.events[0].payload[1], 3);
+  }
+
+  // The file header.
+  expect_error({0x57, 0x4F, 0x50}, db::OpLogError::Truncated, 3, "short header");
+  auto bad_version = framed_log({});
+  bad_version[4] ^= 0x02;
+  expect_error(bad_version, db::OpLogError::BadMagic, 0, "bad version");
+
+  // Truncated inside a chunk header, and inside a chunk's declared payload.
+  auto cut_frame = framed_log({{good, 1}});
+  cut_frame.resize(8 + 5);
+  expect_error(cut_frame, db::OpLogError::Truncated, 8, "cut chunk header");
+  auto cut_payload = framed_log({{good, 1}});
+  cut_payload.pop_back();
+  expect_error(cut_payload, db::OpLogError::Truncated, kFirstPayload, "cut payload");
+
+  // Range-invalid op, status and flags bytes: rejected after the three.
+  auto bad_op = good;
+  bad_op[0] = static_cast<std::uint8_t>(db::ApiOp::TxnEnd) + 1;
+  expect_error(framed_log({{bad_op, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + 3, "op out of range");
+  auto bad_status = good;
+  bad_status[1] = static_cast<std::uint8_t>(db::Status::BadGroup) + 1;
+  expect_error(framed_log({{bad_status, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + 3, "status out of range");
+  auto bad_flags = good;
+  bad_flags[2] = 0x02;
+  expect_error(framed_log({{bad_flags, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + 3, "unknown flag");
+
+  // payload_len 9 > 8: rejected once the eight varints are read.
+  auto long_payload = good;
+  long_payload.resize(10);
+  long_payload.push_back(9);
+  expect_error(framed_log({{long_payload, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + long_payload.size(), "payload_len > 8");
+  // An out-of-range id (table > 0xFFFF: varint 0x80 0x80 0x04).
+  const std::vector<std::uint8_t> wide_table = {0, 0, 0,    0, 1, 0, 0x80,
+                                                0x80, 0x04, 3, 1, 0, 0};
+  expect_error(framed_log({{wide_table, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + wide_table.size(), "table id out of range");
+  // A payload word beyond int32 (zigzag 2^33).
+  const std::vector<std::uint8_t> wide_word = {
+      static_cast<std::uint8_t>(db::ApiOp::Alloc), 0, 1, 0, 1, 0, 2, 3, 1, 0, 2,
+      1, 0x80, 0x80, 0x80, 0x80, 0x20};
+  expect_error(framed_log({{wide_word, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + wide_word.size(), "payload word beyond int32");
+
+  // Truncated inside an event, CRC-valid: before the three fixed bytes,
+  // inside the varints, inside the payload words, and in a runaway varint.
+  expect_error(framed_log({{{0, 0}, 1}}), db::OpLogError::Truncated,
+               kFirstPayload, "event cut in its fixed bytes");
+  const std::vector<std::uint8_t> cut_ids(good.begin(), good.begin() + 5);
+  expect_error(framed_log({{cut_ids, 1}}), db::OpLogError::Truncated,
+               kFirstPayload + cut_ids.size(), "event cut in its ids");
+  const std::vector<std::uint8_t> cut_words(good.begin(), good.end() - 1);
+  expect_error(framed_log({{cut_words, 1}}), db::OpLogError::Truncated,
+               kFirstPayload + cut_words.size(), "event cut in its payload");
+  // Fixed bytes, then a time delta of ten continuation bytes.
+  const std::vector<std::uint8_t> runaway = {0,    0,    0,    0xFF, 0xFF, 0xFF, 0xFF,
+                                             0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  expect_error(framed_log({{runaway, 1}}), db::OpLogError::Truncated,
+               kFirstPayload + runaway.size(), "runaway varint");
+
+  // A chunk whose events end before its payload does: a framing lie.
+  auto trailing = good;
+  trailing.push_back(0);
+  expect_error(framed_log({{trailing, 1}}), db::OpLogError::BadEvent,
+               kFirstPayload + good.size(), "trailing payload bytes");
+  // An error in a later chunk drops the earlier chunk's events too.
+  const std::size_t second_payload = kFirstPayload + good.size() + 12;
+  expect_error(framed_log({{good, 1}, {bad_op, 1}}), db::OpLogError::BadEvent,
+               second_payload + 3, "error in the second chunk");
+}
+
+TEST(OpLogFormat, WritersReportAnUnopenablePath) {
+  const std::string path = "no_such_dir/out.oplog";
+  db::OpLogWriter writer(path);
+  EXPECT_FALSE(writer.ok());
+  writer.add(db::ApiEvent{});  // dropped: there is no file
+  EXPECT_EQ(writer.bytes_written(), 0u);
+  EXPECT_FALSE(writer.close());
+
+  db::RunOpLog log;
+  EXPECT_FALSE(log.open_file(path));
+  EXPECT_TRUE(log.close_file());  // nothing was open
+  EXPECT_FALSE(log.save(path));
+}
+
+TEST(OpLogFormat, SaveWritesTheSerializedImage) {
+  const std::string path = "test_oplog_save.oplog";
+  Fixture fx;
+  for (int call = 0; call < 3; ++call) {
+    fx.call(call);
+  }
+  ASSERT_TRUE(fx.oplog.save(path));
+  const db::OpLogReadResult loaded = db::load_op_log(path);
+  ASSERT_TRUE(loaded.ok()) << db::to_string(loaded.error);
+  expect_events_equal(fx.oplog.events(), loaded.events);
+  std::remove(path.c_str());
+}
+
+TEST(OpLogFormat, LoadReportsAMissingFile) {
+  const db::OpLogReadResult result = db::load_op_log("no_such_dir/missing.oplog");
+  EXPECT_EQ(result.error, db::OpLogError::CannotOpen);
+  EXPECT_EQ(result.error_offset, 0u);
+  EXPECT_TRUE(result.events.empty());
+}
+
+/// Every value from 0 to `last` has a name of its own, and none is "?".
+template <class Enum>
+void expect_distinct_names(Enum last) {
+  std::set<std::string_view> names;
+  for (unsigned v = 0; v <= static_cast<unsigned>(last); ++v) {
+    const std::string_view name = to_string(static_cast<Enum>(v));
+    EXPECT_NE(name, "?") << "value " << v;
+    EXPECT_TRUE(names.insert(name).second) << "value " << v << ": " << name;
+  }
+}
+
+TEST(EnumNames, EveryValueHasADistinctName) {
+  expect_distinct_names(db::OpLogError::BadEvent);
+  expect_distinct_names(db::Status::BadGroup);
+  expect_distinct_names(audit::Technique::ReplayCheck);
+  expect_distinct_names(audit::Recovery::HealThread);
 }
 
 // --- deduplicated replay audit -------------------------------------------

@@ -194,7 +194,6 @@ TEST(VmClient, LivelockIsFlaggedAsHang) {
   vm::Program program = build_call_program(env.program_params());
   VmDriverConfig config;
   config.threads = 2;
-  config.max_instructions_per_thread = 5'000;
   auto driver = std::make_shared<VmClientDriver>(program, *env.db, env.cpu,
                                                  common::Rng(6), config, nullptr,
                                                  nullptr);
