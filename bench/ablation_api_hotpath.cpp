@@ -40,9 +40,11 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/table_printer.hpp"
 #include "db/api.hpp"
 #include "db/controller_schema.hpp"
 #include "obs/metrics.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
@@ -204,11 +206,9 @@ int main(int argc, char** argv) {
   std::printf("equality: %zu byte-compared ops, cross-check on: %s\n",
               equality_ops,
               regions_equal ? "regions identical" : "DIVERGED");
-  if (!regions_equal) {
-    std::fprintf(stderr,
-                 "FAIL: splice and full-relink regions diverged at op %ld\n",
-                 diverged_at);
-  }
+  bench::Report report("api_hotpath");
+  report.gate(regions_equal, "splice and full-relink regions diverged at op " +
+                                 std::to_string(diverged_at));
 
   // --- timing phase (index counters captured from the splice arm) ---
   obs::Recorder recorder;
@@ -242,48 +242,32 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   counters.counter(obs::Counter::db_index_rebuilds)));
 
-  const bool fast_enough = speedup >= 5.0;
-  if (!fast_enough) {
-    std::fprintf(stderr, "FAIL: speedup %.2fx below the 5x floor\n", speedup);
-  }
+  report.gate(speedup >= 5.0,
+              "speedup " + common::fmt(speedup, 2) + "x below the 5x floor");
 
-  if (std::FILE* file = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(file, "{\n  \"bench\": \"api_hotpath\",\n");
-    std::fprintf(file, "  \"scale\": %zu,\n  \"ops\": %zu,\n", scale, ops);
-    std::fprintf(file,
-                 "  \"equality\": {\"ops\": %zu, \"cross_check\": true, "
-                 "\"regions_equal\": %s},\n",
-                 equality_ops, regions_equal ? "true" : "false");
-    std::fprintf(file, "  \"arms\": [\n");
-    std::fprintf(file,
-                 "    {\"name\": \"splice\", \"ops_per_s\": %.0f, "
-                 "\"ns_per_op\": %.1f, \"allocs\": %zu, \"frees\": %zu, "
-                 "\"moves\": %zu},\n",
-                 splice.ops_per_s, splice.ns_per_op, splice.allocs,
-                 splice.frees, splice.moves);
-    std::fprintf(file,
-                 "    {\"name\": \"full_relink\", \"ops_per_s\": %.0f, "
-                 "\"ns_per_op\": %.1f, \"allocs\": %zu, \"frees\": %zu, "
-                 "\"moves\": %zu}\n  ],\n",
-                 relink.ops_per_s, relink.ns_per_op, relink.allocs,
-                 relink.frees, relink.moves);
-    std::fprintf(file, "  \"speedup\": %.2f,\n", speedup);
-    std::fprintf(file,
-                 "  \"index_counters\": {\"hits\": %llu, \"splices\": %llu, "
-                 "\"resyncs\": %llu, \"rebuilds\": %llu}\n}\n",
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_hits)),
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_splices)),
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_resyncs)),
-                 static_cast<unsigned long long>(
-                     counters.counter(obs::Counter::db_index_rebuilds)));
-    std::fclose(file);
-    std::printf("(json written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  }
-
-  return regions_equal && fast_enough ? 0 : 1;
+  using bench::Json;
+  const auto arm_json = [](const char* name, const TimingResult& arm) {
+    return Json::object({{"name", name},
+                         {"ops_per_s", Json::fixed(arm.ops_per_s, 0)},
+                         {"ns_per_op", Json::fixed(arm.ns_per_op, 1)},
+                         {"allocs", arm.allocs},
+                         {"frees", arm.frees},
+                         {"moves", arm.moves}});
+  };
+  report.add("scale", scale)
+      .add("ops", ops)
+      .add("equality", Json::object({{"ops", equality_ops},
+                                     {"cross_check", true},
+                                     {"regions_equal", regions_equal}}))
+      .add("arms", Json::array({arm_json("splice", splice),
+                                arm_json("full_relink", relink)}))
+      .add("speedup", Json::fixed(speedup, 2))
+      .add("index_counters",
+           Json::object(
+               {{"hits", counters.counter(obs::Counter::db_index_hits)},
+                {"splices", counters.counter(obs::Counter::db_index_splices)},
+                {"resyncs", counters.counter(obs::Counter::db_index_resyncs)},
+                {"rebuilds",
+                 counters.counter(obs::Counter::db_index_rebuilds)}}));
+  return report.finish(json_path);
 }

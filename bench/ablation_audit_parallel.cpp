@@ -39,11 +39,15 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/stats.hpp"
 #include "common/table_printer.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
 namespace {
+
+using common::percent;
 
 struct Arm {
   std::string name;
@@ -111,11 +115,6 @@ bool same_outcome(const experiments::AggregateAuditResult& a,
          ba.no_effect == bb.no_effect;
 }
 
-double pct(std::size_t part, std::size_t whole) {
-  return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
-                                static_cast<double>(whole);
-}
-
 void print_latency(const std::vector<Arm>& arms) {
   common::TablePrinter table({"Audit threads", "Cycle latency (us)",
                               "Audit us/cycle", "Caught %", "Escaped %",
@@ -126,8 +125,8 @@ void print_latency(const std::vector<Arm>& arms) {
     const double latency = r.cycle_latency_us.mean();
     table.add_row({std::to_string(arm.threads), common::fmt(latency, 0),
                    common::fmt(r.audit_cost_per_cycle_us.mean(), 0),
-                   common::fmt(pct(r.caught, r.injected), 1) + "%",
-                   common::fmt(pct(r.escaped, r.injected), 1) + "%",
+                   common::fmt(percent(r.caught, r.injected), 1) + "%",
+                   common::fmt(percent(r.escaped, r.injected), 1) + "%",
                    common::fmt(latency > 0.0 ? base / latency : 0.0, 2) + "x"});
   }
   std::printf("--- latency phase (Table-5 scale, cost scale 1) ---\n\n%s\n",
@@ -163,34 +162,31 @@ int main(int argc, char** argv) {
   }
   print_latency(arms);
 
-  std::vector<std::string> failures;
+  bench::Report report("audit_parallel");
   const Arm& sequential = arms.front();
   const Arm* gate_arm = &sequential;
   for (const Arm& arm : arms) {
     if (arm.threads == gate_threads) {
       gate_arm = &arm;
     }
-    if (!same_outcome(sequential.result, arm.result)) {
-      failures.push_back("outcome at " + std::to_string(arm.threads) +
-                         " audit threads differs from sequential "
-                         "(determinism violation)");
-    }
+    report.gate(same_outcome(sequential.result, arm.result),
+                "outcome at " + std::to_string(arm.threads) +
+                    " audit threads differs from sequential "
+                    "(determinism violation)");
   }
   const double escape_delta =
-      pct(gate_arm->result.escaped, gate_arm->result.injected) -
-      pct(sequential.result.escaped, sequential.result.injected);
-  if (std::fabs(escape_delta) > 0.1) {
-    failures.push_back("escape-rate delta " + common::fmt(escape_delta, 3) +
-                       " pp exceeds 0.1 pp");
-  }
+      percent(gate_arm->result.escaped, gate_arm->result.injected) -
+      percent(sequential.result.escaped, sequential.result.injected);
+  report.gate(std::fabs(escape_delta) <= 0.1,
+              "escape-rate delta " + common::fmt(escape_delta, 3) +
+                  " pp exceeds 0.1 pp");
   const double seq_latency = sequential.result.cycle_latency_us.mean();
   const double par_latency = gate_arm->result.cycle_latency_us.mean();
   const double speedup = par_latency > 0.0 ? seq_latency / par_latency : 0.0;
-  if (speedup < 2.0) {
-    failures.push_back("cycle-latency speedup " + common::fmt(speedup, 2) +
-                       "x at " + std::to_string(gate_threads) +
-                       " threads is below the 2x gate");
-  }
+  report.gate(speedup >= 2.0, "cycle-latency speedup " +
+                                  common::fmt(speedup, 2) + "x at " +
+                                  std::to_string(gate_threads) +
+                                  " threads is below the 2x gate");
 
   // --- budget phase (production cost scale, Table-2 schema) ---
   auto budget_params = bench::table2_params();
@@ -214,33 +210,32 @@ int main(int argc, char** argv) {
           ? 0.0
           : static_cast<double>(budgeted.budget_exhausted_cycles) /
                 static_cast<double>(budgeted.audit_cycles);
+  const double unbudgeted_escaped =
+      percent(unbudgeted.escaped, unbudgeted.injected);
+  const double budgeted_escaped = percent(budgeted.escaped, budgeted.injected);
 
   common::TablePrinter budget_table(
       {"Configuration", "Audit us/cycle", "Budget", "Exhausted %",
        "Deferred units", "Escaped %"});
   budget_table.add_row(
       {"unbudgeted", common::fmt(demand, 0), "-", "-", "0",
-       common::fmt(pct(unbudgeted.escaped, unbudgeted.injected), 1) + "%"});
+       common::fmt(unbudgeted_escaped, 1) + "%"});
   budget_table.add_row(
       {"budget = demand/2", common::fmt(budgeted_cost, 0),
        std::to_string(static_cast<long long>(budget)),
        common::fmt(100.0 * exhausted_share, 1) + "%",
        std::to_string(static_cast<long long>(budgeted.deferred_units)),
-       common::fmt(pct(budgeted.escaped, budgeted.injected), 1) + "%"});
+       common::fmt(budgeted_escaped, 1) + "%"});
   std::printf("--- budget phase (production cost scale, 2x overload) "
               "---\n\n%s\n",
               budget_table.render().c_str());
 
-  if (budget_ratio > 1.05) {
-    failures.push_back("budgeted audit CPU/cycle is " +
-                       common::fmt(budget_ratio, 3) +
-                       "x the budget (gate: <= 1.05x)");
-  }
-  if (exhausted_share < 0.5) {
-    failures.push_back("budget bound only " +
-                       common::fmt(100.0 * exhausted_share, 1) +
-                       "% of cycles — the overload arm is not overloaded");
-  }
+  report.gate(budget_ratio <= 1.05, "budgeted audit CPU/cycle is " +
+                                         common::fmt(budget_ratio, 3) +
+                                         "x the budget (gate: <= 1.05x)");
+  report.gate(exhausted_share >= 0.5,
+              "budget bound only " + common::fmt(100.0 * exhausted_share, 1) +
+                  "% of cycles — the overload arm is not overloaded");
 
   std::printf("Cycle-latency speedup at %zu threads: %.2fx; escape-rate "
               "delta %.3f pp; budgeted CPU/cycle %.3fx budget "
@@ -248,60 +243,37 @@ int main(int argc, char** argv) {
               gate_threads, speedup, escape_delta, budget_ratio,
               100.0 * exhausted_share);
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file != nullptr) {
-    std::fprintf(file, "{\n  \"bench\": \"audit_parallel\",\n");
-    std::fprintf(file,
-                 "  \"runs\": %zu,\n  \"duration_s\": %zu,\n"
-                 "  \"scale\": %zu,\n  \"latency_arms\": [\n",
-                 runs, duration_s, scale);
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      const auto& r = arms[i].result;
-      std::fprintf(
-          file,
-          "    {\"threads\": %zu, \"cycle_latency_us\": %.1f,\n"
-          "     \"audit_us_per_cycle\": %.1f, \"audit_cycles\": %llu,\n"
-          "     \"injected\": %zu, \"caught_pct\": %.2f, "
-          "\"escaped_pct\": %.2f}%s\n",
-          arms[i].threads, r.cycle_latency_us.mean(),
-          r.audit_cost_per_cycle_us.mean(),
-          static_cast<unsigned long long>(r.audit_cycles), r.injected,
-          pct(r.caught, r.injected), pct(r.escaped, r.injected),
-          i + 1 == arms.size() ? "" : ",");
-    }
-    std::fprintf(
-        file,
-        "  ],\n  \"speedup\": %.3f,\n  \"gate_threads\": %zu,\n"
-        "  \"escape_delta_pp\": %.4f,\n"
-        "  \"budget\": {\"demand_us_per_cycle\": %.1f, \"budget_us\": %lld,\n"
-        "    \"budgeted_us_per_cycle\": %.1f, \"ratio\": %.4f,\n"
-        "    \"exhausted_share\": %.3f, \"deferred_units\": %llu,\n"
-        "    \"unbudgeted_escaped_pct\": %.2f, \"budgeted_escaped_pct\": "
-        "%.2f},\n",
-        speedup, gate_threads, escape_delta, demand,
-        static_cast<long long>(budget), budgeted_cost, budget_ratio,
-        exhausted_share, static_cast<unsigned long long>(budgeted.deferred_units),
-        pct(unbudgeted.escaped, unbudgeted.injected),
-        pct(budgeted.escaped, budgeted.injected));
-    std::fprintf(file, "  \"gates_passed\": %s", failures.empty() ? "true"
-                                                                  : "false");
-    if (!failures.empty()) {
-      std::fprintf(file, ",\n  \"failures\": [\n");
-      for (std::size_t i = 0; i < failures.size(); ++i) {
-        std::fprintf(file, "    \"%s\"%s\n", failures[i].c_str(),
-                     i + 1 == failures.size() ? "" : ",");
-      }
-      std::fprintf(file, "  ]");
-    }
-    std::fprintf(file, "\n}\n");
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
+  using bench::Json;
+  Json latency_arms = Json::array();
+  for (const Arm& arm : arms) {
+    const auto& r = arm.result;
+    latency_arms.push(Json::object(
+        {{"threads", arm.threads},
+         {"cycle_latency_us", Json::fixed(r.cycle_latency_us.mean(), 1)},
+         {"audit_us_per_cycle",
+          Json::fixed(r.audit_cost_per_cycle_us.mean(), 1)},
+         {"audit_cycles", r.audit_cycles},
+         {"injected", r.injected},
+         {"caught_pct", Json::fixed(percent(r.caught, r.injected), 2)},
+         {"escaped_pct", Json::fixed(percent(r.escaped, r.injected), 2)}}));
   }
-
-  for (const auto& failure : failures) {
-    std::fprintf(stderr, "GATE FAILED: %s\n", failure.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+  report.add("runs", runs)
+      .add("duration_s", duration_s)
+      .add("scale", scale)
+      .add("latency_arms", std::move(latency_arms))
+      .add("speedup", Json::fixed(speedup, 3))
+      .add("gate_threads", gate_threads)
+      .add("escape_delta_pp", Json::fixed(escape_delta, 4))
+      .add("budget",
+           Json::object(
+               {{"demand_us_per_cycle", Json::fixed(demand, 1)},
+                {"budget_us", static_cast<long long>(budget)},
+                {"budgeted_us_per_cycle", Json::fixed(budgeted_cost, 1)},
+                {"ratio", Json::fixed(budget_ratio, 4)},
+                {"exhausted_share", Json::fixed(exhausted_share, 3)},
+                {"deferred_units", budgeted.deferred_units},
+                {"unbudgeted_escaped_pct", Json::fixed(unbudgeted_escaped, 2)},
+                {"budgeted_escaped_pct", Json::fixed(budgeted_escaped, 2)}}));
+  report.add_gate_verdicts();
+  return report.finish(json_path);
 }

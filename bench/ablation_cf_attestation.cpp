@@ -37,6 +37,7 @@
 #include "common/table_printer.hpp"
 #include "experiments/campaign.hpp"
 #include "experiments/pecos_runner.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
@@ -45,7 +46,7 @@ namespace {
 /// One arm's protection configuration.
 struct Arm {
   const char* name;
-  const char* key;  // json field prefix
+  const char* key;  // its key in the JSON report's "arms" object
   experiments::CfcMode cfc;
   bool cf_attest;
   bool heal;
@@ -274,37 +275,33 @@ int main(int argc, char** argv) {
               "latency detections; the healing arm detects preemptively "
               "AND returns every violating thread to service.\n");
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  } else {
-    std::fprintf(file,
-                 "{\n  \"bench\": \"cf_attestation\",\n"
-                 "  \"runs_per_model\": %zu,\n  \"slice_period_ms\": %zu,\n"
-                 "  \"latency_bound_held\": %s,\n"
-                 "  \"worst_latency_us\": %llu,\n"
-                 "  \"healing_guarantee_held\": %s,\n"
-                 "  \"deterministic\": %s,\n  \"arms\": {\n",
-                 runs, slice_ms, latency_ok ? "true" : "false",
-                 static_cast<unsigned long long>(worst_latency),
-                 healing_ok ? "true" : "false",
-                 deterministic ? "true" : "false");
-    for (std::size_t a = 0; a < results.size(); ++a) {
-      const ArmResult& r = results[a];
-      std::fprintf(
-          file,
-          "    \"%s\": {\"activated\": %zu, \"preemptive\": %zu, "
-          "\"by_attestation\": %zu, \"crashed\": %zu, \"escaped\": %zu, "
-          "\"benign\": %zu, \"healed_runs\": %zu, \"escalations\": %zu, "
-          "\"unhealed\": %zu, \"max_latency_us\": %llu}%s\n",
-          arms[a].key, r.activated, r.preemptive, r.by_attestation, r.crashed,
-          r.escaped, r.benign, r.healed_runs, r.escalations, r.unhealed,
-          static_cast<unsigned long long>(r.max_latency_us),
-          a + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(file, "  }\n}\n");
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
+  using bench::Json;
+  bench::Report report("cf_attestation");
+  report.gate(latency_ok, "an attestation detection exceeded the slice period");
+  report.gate(healing_ok, "the healing arm left a CF violation unhealed");
+  report.gate(deterministic,
+              "per-run outcome rows differ between parallel and --jobs=1");
+  Json arm_results = Json::object();
+  for (std::size_t a = 0; a < results.size(); ++a) {
+    const ArmResult& r = results[a];
+    arm_results.add(arms[a].key,
+                    Json::object({{"activated", r.activated},
+                                  {"preemptive", r.preemptive},
+                                  {"by_attestation", r.by_attestation},
+                                  {"crashed", r.crashed},
+                                  {"escaped", r.escaped},
+                                  {"benign", r.benign},
+                                  {"healed_runs", r.healed_runs},
+                                  {"escalations", r.escalations},
+                                  {"unhealed", r.unhealed},
+                                  {"max_latency_us", r.max_latency_us}}));
   }
-  return (latency_ok && healing_ok && deterministic) ? 0 : 1;
+  report.add("runs_per_model", runs)
+      .add("slice_period_ms", slice_ms)
+      .add("latency_bound_held", latency_ok)
+      .add("worst_latency_us", worst_latency)
+      .add("healing_guarantee_held", healing_ok)
+      .add("deterministic", deterministic)
+      .add("arms", std::move(arm_results));
+  return report.finish(json_path);
 }

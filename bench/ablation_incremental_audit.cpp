@@ -36,11 +36,15 @@
 
 #include "bench_util.hpp"
 #include "common/crc32.hpp"
+#include "common/stats.hpp"
 #include "common/table_printer.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
 namespace {
+
+using common::percent;
 
 struct Arm {
   std::string name;
@@ -66,16 +70,11 @@ experiments::AggregateAuditResult run_arm(bool incremental,
   return experiments::run_audit_series(params, runs);
 }
 
-double pct(std::size_t part, std::size_t whole) {
-  return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
-                                static_cast<double>(whole);
-}
-
 double escape_of(const std::vector<Arm>& arms, const std::string& name,
                  bool through_store) {
   for (const auto& arm : arms) {
     if (arm.name == name && arm.through_store == through_store) {
-      return pct(arm.result.escaped, arm.result.injected);
+      return percent(arm.result.escaped, arm.result.injected);
     }
   }
   return 0.0;
@@ -137,8 +136,8 @@ void print_coverage(const std::vector<Arm>& arms) {
     const auto& r = arm.result;
     table.add_row({arm.name, arm.through_store ? "through-store" : "bypass",
                    std::to_string(r.injected),
-                   common::fmt(pct(r.caught, r.injected), 1) + "%",
-                   common::fmt(pct(r.escaped, r.injected), 1) + "%",
+                   common::fmt(percent(r.caught, r.injected), 1) + "%",
+                   common::fmt(percent(r.escaped, r.injected), 1) + "%",
                    common::fmt(r.detection_latency_s.mean(), 2)});
   }
   std::printf("--- coverage phase (cost scale 1: equal client timing, "
@@ -146,73 +145,26 @@ void print_coverage(const std::vector<Arm>& arms) {
               table.render().c_str());
 }
 
-void json_arm(std::FILE* file, const Arm& arm, bool last) {
-  const auto& r = arm.result;
-  std::fprintf(
-      file,
-      "    {\"name\": \"%s\", \"through_store\": %s,\n"
-      "     \"audit_us_per_cycle\": %.1f, \"audit_cycles\": %llu,\n"
-      "     \"full_sweeps\": %llu, \"setup_ms\": %.2f,\n"
-      "     \"injected\": %zu, \"caught_pct\": %.2f, \"escaped_pct\": %.2f,\n"
-      "     \"detection_latency_s\": %.2f}%s\n",
-      arm.name.c_str(), arm.through_store ? "true" : "false",
-      r.audit_cost_per_cycle_us.mean(),
-      static_cast<unsigned long long>(r.audit_cycles),
-      static_cast<unsigned long long>(r.full_sweeps), r.setup_ms.mean(),
-      r.injected, pct(r.caught, r.injected), pct(r.escaped, r.injected),
-      r.detection_latency_s.mean(), last ? "" : ",");
-}
-
-void write_json(const std::string& path, const std::vector<Arm>& cost_arms,
-                const std::vector<Arm>& coverage_arms, std::size_t runs,
-                std::size_t duration_s, std::size_t sweep_interval,
-                const CrcCheck& crc) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
+bench::Json json_arms(const std::vector<Arm>& arms) {
+  using bench::Json;
+  Json list = Json::array();
+  for (const auto& arm : arms) {
+    const auto& r = arm.result;
+    list.push(Json::object(
+        {{"name", arm.name},
+         {"through_store", arm.through_store},
+         {"audit_us_per_cycle",
+          Json::fixed(r.audit_cost_per_cycle_us.mean(), 1)},
+         {"audit_cycles", r.audit_cycles},
+         {"full_sweeps", r.full_sweeps},
+         {"setup_ms", Json::fixed(r.setup_ms.mean(), 2)},
+         {"injected", r.injected},
+         {"caught_pct", Json::fixed(percent(r.caught, r.injected), 2)},
+         {"escaped_pct", Json::fixed(percent(r.escaped, r.injected), 2)},
+         {"detection_latency_s",
+          Json::fixed(r.detection_latency_s.mean(), 2)}}));
   }
-  std::fprintf(file, "{\n  \"bench\": \"incremental_audit\",\n");
-  std::fprintf(file, "  \"runs\": %zu,\n  \"duration_s\": %zu,\n", runs,
-               duration_s);
-  std::fprintf(file, "  \"hybrid_sweep_interval\": %zu,\n", sweep_interval);
-  std::fprintf(file, "  \"crc32\": {\"vector_ok\": %s, \"mb_per_s\": %.1f},\n",
-               crc.vector_ok ? "true" : "false", crc.mb_per_s);
-  std::fprintf(file, "  \"cost_arms\": [\n");
-  for (std::size_t i = 0; i < cost_arms.size(); ++i) {
-    json_arm(file, cost_arms[i], i + 1 == cost_arms.size());
-  }
-  std::fprintf(file, "  ],\n  \"coverage_arms\": [\n");
-  for (std::size_t i = 0; i < coverage_arms.size(); ++i) {
-    json_arm(file, coverage_arms[i], i + 1 == coverage_arms.size());
-  }
-  std::fprintf(file, "  ],\n");
-  // Headline deltas: CPU reduction from the cost phase; escape-rate delta
-  // from the coverage phase, through-store mode (the paper's dominant
-  // wild-write error model).
-  double base_cost = 0.0;
-  double incr_cost = 0.0;
-  double hybrid_cost = 0.0;
-  for (const auto& arm : cost_arms) {
-    const double cost = arm.result.audit_cost_per_cycle_us.mean();
-    if (arm.name == "exhaustive") {
-      base_cost = cost;
-    } else if (arm.name == "incremental") {
-      incr_cost = cost;
-    } else if (arm.name == "hybrid") {
-      hybrid_cost = cost;
-    }
-  }
-  std::fprintf(file,
-               "  \"speedup_incremental\": %.2f,\n"
-               "  \"speedup_hybrid\": %.2f,\n"
-               "  \"hybrid_escape_delta_pp\": %.2f\n}\n",
-               incr_cost > 0.0 ? base_cost / incr_cost : 0.0,
-               hybrid_cost > 0.0 ? base_cost / hybrid_cost : 0.0,
-               escape_of(coverage_arms, "hybrid", true) -
-                   escape_of(coverage_arms, "exhaustive", true));
-  std::fclose(file);
-  std::printf("(results written to %s)\n", path.c_str());
+  return list;
 }
 
 }  // namespace
@@ -262,18 +214,31 @@ int main(int argc, char** argv) {
   const double base = cost_arms[0].result.audit_cost_per_cycle_us.mean();
   const double incr = cost_arms[1].result.audit_cost_per_cycle_us.mean();
   const double hybrid = cost_arms[2].result.audit_cost_per_cycle_us.mean();
+  const double speedup_incremental = incr > 0.0 ? base / incr : 0.0;
+  const double speedup_hybrid = hybrid > 0.0 ? base / hybrid : 0.0;
+  // Escape-rate delta from the coverage phase, through-store mode (the
+  // paper's dominant wild-write error model).
   const double escape_delta = escape_of(coverage_arms, "hybrid", true) -
                               escape_of(coverage_arms, "exhaustive", true);
   std::printf("Audit CPU/cycle reduction: incremental %.1fx, hybrid %.1fx; "
               "hybrid escape-rate delta (through-store) %+.2f pp\n",
-              incr > 0.0 ? base / incr : 0.0,
-              hybrid > 0.0 ? base / hybrid : 0.0, escape_delta);
+              speedup_incremental, speedup_hybrid, escape_delta);
   std::printf("Expected: >=3x audit CPU reduction with the hybrid escape "
               "rate within 1 pp of exhaustive; under the bypass error model "
               "the pure-incremental arm escapes what the workload never "
               "rewrites, which is what the periodic full sweep bounds.\n");
 
-  write_json(json_path, cost_arms, coverage_arms, runs, duration_s,
-             sweep_interval, crc);
-  return 0;
+  using bench::Json;
+  bench::Report report("incremental_audit");
+  report.add("runs", runs)
+      .add("duration_s", duration_s)
+      .add("hybrid_sweep_interval", sweep_interval)
+      .add("crc32", Json::object({{"vector_ok", crc.vector_ok},
+                                  {"mb_per_s", Json::fixed(crc.mb_per_s, 1)}}))
+      .add("cost_arms", json_arms(cost_arms))
+      .add("coverage_arms", json_arms(coverage_arms))
+      .add("speedup_incremental", Json::fixed(speedup_incremental, 2))
+      .add("speedup_hybrid", Json::fixed(speedup_hybrid, 2))
+      .add("hybrid_escape_delta_pp", Json::fixed(escape_delta, 2));
+  return report.finish(json_path);
 }

@@ -43,6 +43,7 @@
 //        --min-wall-speedup=X (default 5; smoke runs may relax — timing
 //        noise on a tiny horizon, the byte-identity gate stays exact),
 //        --record-out=PATH (scratch capture file), --json=PATH
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -54,6 +55,7 @@
 #include "common/table_printer.hpp"
 #include "db/run_op_log.hpp"
 #include "experiments/replay_workload.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation A16: op-log record/replay "
               "(%zus record horizon, scale %zu) ===\n\n",
               duration_s, scale);
-  std::vector<std::string> failures;
+  bench::Report report("log_replay");
 
   // --- phase 1: record, then zero-simulation replay ---
   auto record_params = bench::table2_params();
@@ -210,19 +212,16 @@ int main(int argc, char** argv) {
   const bool bytes_equal = recorded.final_region == replayed.final_region;
   const double wall_speedup =
       replay_wall > 0.0 ? record_wall / replay_wall : 0.0;
-  if (!bytes_equal) {
-    failures.push_back("replayed final region differs from the recording "
-                       "run's (zero-simulation engine is not byte-exact)");
-  }
-  if (replayed.replay_divergences != 0) {
-    failures.push_back(std::to_string(replayed.replay_divergences) +
-                       " replay divergences on a clean capture");
-  }
-  if (wall_speedup < static_cast<double>(min_wall_speedup)) {
-    failures.push_back("replay wall-clock speedup " +
-                       common::fmt(wall_speedup, 2) + "x is below the " +
-                       std::to_string(min_wall_speedup) + "x gate");
-  }
+  report.gate(bytes_equal,
+              "replayed final region differs from the recording run's "
+              "(zero-simulation engine is not byte-exact)");
+  report.gate(replayed.replay_divergences == 0,
+              std::to_string(replayed.replay_divergences) +
+                  " replay divergences on a clean capture");
+  report.gate(wall_speedup >= static_cast<double>(min_wall_speedup),
+              "replay wall-clock speedup " + common::fmt(wall_speedup, 2) +
+                  "x is below the " + std::to_string(min_wall_speedup) +
+                  "x gate");
   std::printf("--- record/replay ---\n"
               "recorded %llu events in %.3f s (simulation); replayed %llu "
               "update ops in %.3f s (zero simulation): %.1fx, region %s\n\n",
@@ -238,13 +237,11 @@ int main(int argc, char** argv) {
   clean_params.capture_final_region = false;
   clean_params.audit.replay_audit = true;
   const auto clean = experiments::run_audit_experiment(clean_params);
-  if (clean.replay_runs == 0) {
-    failures.push_back("replay audit arm never ran on the clean run");
-  }
-  if (clean.replay.mismatched_words != 0) {
-    failures.push_back(std::to_string(clean.replay.mismatched_words) +
-                       " false mismatch words on a clean run");
-  }
+  report.gate(clean.replay_runs != 0,
+              "replay audit arm never ran on the clean run");
+  report.gate(clean.replay.mismatched_words == 0,
+              std::to_string(clean.replay.mismatched_words) +
+                  " false mismatch words on a clean run");
   std::printf("--- clean-run replay audit ---\n"
               "%llu replay cycles, last: %llu chains (%llu unique), "
               "%llu mismatched words\n\n",
@@ -257,10 +254,8 @@ int main(int argc, char** argv) {
   const std::string storm_path = workloads_dir + "/handoff_storm.oplog";
   const db::OpLogReadResult storm = db::load_op_log(storm_path);
   audit::ReplayStats storm_stats;
-  if (!storm.ok()) {
-    failures.push_back("cannot load " + storm_path + ": " +
-                       std::string(db::to_string(storm.error)));
-  } else {
+  if (report.gate(storm.ok(), "cannot load " + storm_path + ": " +
+                                  std::string(db::to_string(storm.error)))) {
     auto storm_db = db::make_controller_database();
     experiments::apply_op_log(*storm_db, storm.events);
     audit::ReplayAuditor auditor(*storm_db, audit::ReplayConfig{});
@@ -271,18 +266,16 @@ int main(int argc, char** argv) {
             ? static_cast<double>(storm_stats.naive_cost) /
                   static_cast<double>(storm_stats.dedup_cost)
             : 0.0;
-    if (storm_stats.duplicate_ratio() <= 0.30) {
-      failures.push_back("handoff-storm duplicate-chain ratio " +
-                         common::fmt(100.0 * storm_stats.duplicate_ratio(), 1) +
-                         "% is below the 30% gate");
-    }
-    if (cpu_ratio < 3.0) {
-      failures.push_back("dedup replay is only " + common::fmt(cpu_ratio, 2) +
-                         "x cheaper than naive re-execution (gate: 3x)");
-    }
-    if (!result.findings.empty()) {
-      failures.push_back("replay audit flagged a just-replayed region");
-    }
+    report.gate(storm_stats.duplicate_ratio() > 0.30,
+                "handoff-storm duplicate-chain ratio " +
+                    common::fmt(100.0 * storm_stats.duplicate_ratio(), 1) +
+                    "% is below the 30% gate");
+    report.gate(cpu_ratio >= 3.0, "dedup replay is only " +
+                                      common::fmt(cpu_ratio, 2) +
+                                      "x cheaper than naive re-execution "
+                                      "(gate: 3x)");
+    report.gate(result.findings.empty(),
+                "replay audit flagged a just-replayed region");
     std::printf("--- handoff-storm dedup ---\n"
                 "%llu chains, %llu unique (duplicate ratio %.1f%%); booked "
                 "CPU naive %llu vs dedup %llu: %.1fx cheaper\n\n",
@@ -326,12 +319,11 @@ int main(int argc, char** argv) {
     structural_findings += engine.check_ranges(t).findings;
   }
   structural_findings += engine.check_semantics().findings;
-  if (structural_findings != 0) {
-    failures.push_back("structural arms flagged " +
-                       std::to_string(structural_findings) +
-                       " of the unruled-field corruptions (expected 0 — "
-                       "the corruption class is wrong)");
-  }
+  report.gate(structural_findings == 0,
+              "structural arms flagged " +
+                  std::to_string(structural_findings) +
+                  " of the unruled-field corruptions (expected 0 — the "
+                  "corruption class is wrong)");
 
   audit::ReplayAuditor semantic_auditor(sdb, audit::ReplayConfig{});
   const audit::ReplayResult semantic =
@@ -345,19 +337,15 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (detected != corrupted_offsets.size()) {
-    failures.push_back("replay audit detected only " +
-                       std::to_string(detected) + "/" +
-                       std::to_string(corrupted_offsets.size()) +
-                       " seeded semantic corruptions");
-  }
-  if (semantic.stats.mismatched_words != corrupted_offsets.size()) {
-    failures.push_back("replay audit flagged " +
-                       std::to_string(semantic.stats.mismatched_words) +
-                       " words for " +
-                       std::to_string(corrupted_offsets.size()) +
-                       " seeded corruptions (false mismatches)");
-  }
+  report.gate(detected == corrupted_offsets.size(),
+              "replay audit detected only " + std::to_string(detected) + "/" +
+                  std::to_string(corrupted_offsets.size()) +
+                  " seeded semantic corruptions");
+  report.gate(semantic.stats.mismatched_words == corrupted_offsets.size(),
+              "replay audit flagged " +
+                  std::to_string(semantic.stats.mismatched_words) +
+                  " words for " + std::to_string(corrupted_offsets.size()) +
+                  " seeded corruptions (false mismatches)");
   std::printf("--- seeded semantic corruption ---\n"
               "%zu unruled-field corruptions: structural arms flagged "
               "%llu, replay audit detected %zu (%llu mismatched words)\n\n",
@@ -373,13 +361,12 @@ int main(int argc, char** argv) {
     audit::ReplayAuditor auditor(sdb, config);
     digests.push_back(replay_digest(auditor.run(fixture.oplog.events())));
   }
-  for (const std::uint64_t digest : digests) {
-    if (digest != digests.front()) {
-      failures.push_back("replay audit digest differs across replay thread "
-                         "counts (determinism violation)");
-      break;
-    }
-  }
+  const bool digests_stable =
+      std::all_of(digests.begin(), digests.end(),
+                  [&](std::uint64_t d) { return d == digests.front(); });
+  report.gate(digests_stable,
+              "replay audit digest differs across replay thread counts "
+              "(determinism violation)");
   std::vector<std::uint64_t> region_digests;
   for (const std::size_t jobs : {1u, 4u}) {
     experiments::CampaignOptions options;
@@ -400,72 +387,36 @@ int main(int argc, char** argv) {
     }
     region_digests.push_back(merged);
   }
-  if (region_digests[0] != region_digests[1]) {
-    failures.push_back("zero-simulation replay differs across --jobs "
-                       "fan-out (determinism violation)");
-  }
+  const bool fan_out_stable = report.gate(
+      region_digests[0] == region_digests[1],
+      "zero-simulation replay differs across --jobs fan-out (determinism "
+      "violation)");
   std::printf("--- determinism ---\n"
               "replay-audit digest %016llx at 1/2/4/8 threads %s; campaign "
               "fan-out digest %016llx at jobs 1/4 %s\n\n",
               static_cast<unsigned long long>(digests.front()),
-              digests.front() == digests.back() ? "stable" : "UNSTABLE",
+              digests_stable ? "stable" : "UNSTABLE",
               static_cast<unsigned long long>(region_digests[0]),
-              region_digests[0] == region_digests[1] ? "stable" : "UNSTABLE");
+              fan_out_stable ? "stable" : "UNSTABLE");
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file != nullptr) {
-    std::fprintf(file, "{\n  \"bench\": \"log_replay\",\n");
-    std::fprintf(file,
-                 "  \"duration_s\": %zu,\n  \"recorded_events\": %llu,\n"
-                 "  \"record_wall_s\": %.4f,\n  \"replay_wall_s\": %.4f,\n"
-                 "  \"wall_speedup\": %.2f,\n  \"bytes_equal\": %s,\n"
-                 "  \"replay_divergences\": %llu,\n",
-                 duration_s,
-                 static_cast<unsigned long long>(recorded.oplog_recorded),
-                 record_wall, replay_wall, wall_speedup,
-                 bytes_equal ? "true" : "false",
-                 static_cast<unsigned long long>(replayed.replay_divergences));
-    std::fprintf(file,
-                 "  \"clean_replay_runs\": %llu,\n"
-                 "  \"clean_mismatched_words\": %llu,\n",
-                 static_cast<unsigned long long>(clean.replay_runs),
-                 static_cast<unsigned long long>(clean.replay.mismatched_words));
-    std::fprintf(
-        file,
-        "  \"storm_chains\": %llu,\n  \"storm_unique_chains\": %llu,\n"
-        "  \"storm_duplicate_ratio\": %.4f,\n"
-        "  \"storm_naive_cost\": %llu,\n  \"storm_dedup_cost\": %llu,\n",
-        static_cast<unsigned long long>(storm_stats.chains),
-        static_cast<unsigned long long>(storm_stats.unique_chains),
-        storm_stats.duplicate_ratio(),
-        static_cast<unsigned long long>(storm_stats.naive_cost),
-        static_cast<unsigned long long>(storm_stats.dedup_cost));
-    std::fprintf(file,
-                 "  \"seeded_corruptions\": %zu,\n"
-                 "  \"structural_findings\": %llu,\n"
-                 "  \"replay_detected\": %zu,\n",
-                 corrupted_offsets.size(),
-                 static_cast<unsigned long long>(structural_findings),
-                 detected);
-    std::fprintf(file, "  \"gates_passed\": %s",
-                 failures.empty() ? "true" : "false");
-    if (!failures.empty()) {
-      std::fprintf(file, ",\n  \"failures\": [\n");
-      for (std::size_t i = 0; i < failures.size(); ++i) {
-        std::fprintf(file, "    \"%s\"%s\n", failures[i].c_str(),
-                     i + 1 == failures.size() ? "" : ",");
-      }
-      std::fprintf(file, "  ]");
-    }
-    std::fprintf(file, "\n}\n");
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  }
-
-  for (const auto& failure : failures) {
-    std::fprintf(stderr, "GATE FAILED: %s\n", failure.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+  report.add("duration_s", duration_s)
+      .add("recorded_events", recorded.oplog_recorded)
+      .add("record_wall_s", bench::Json::fixed(record_wall, 4))
+      .add("replay_wall_s", bench::Json::fixed(replay_wall, 4))
+      .add("wall_speedup", bench::Json::fixed(wall_speedup, 2))
+      .add("bytes_equal", bytes_equal)
+      .add("replay_divergences", replayed.replay_divergences)
+      .add("clean_replay_runs", clean.replay_runs)
+      .add("clean_mismatched_words", clean.replay.mismatched_words)
+      .add("storm_chains", storm_stats.chains)
+      .add("storm_unique_chains", storm_stats.unique_chains)
+      .add("storm_duplicate_ratio",
+           bench::Json::fixed(storm_stats.duplicate_ratio(), 4))
+      .add("storm_naive_cost", storm_stats.naive_cost)
+      .add("storm_dedup_cost", storm_stats.dedup_cost)
+      .add("seeded_corruptions", corrupted_offsets.size())
+      .add("structural_findings", structural_findings)
+      .add("replay_detected", detected);
+  report.add_gate_verdicts();
+  return report.finish(json_path);
 }

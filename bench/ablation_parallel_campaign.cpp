@@ -33,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
+#include "report.hpp"
 #include "sim/scheduler.hpp"
 
 using namespace wtc;
@@ -60,37 +61,26 @@ experiments::AuditRunParams workload(std::size_t duration_s) {
 
 /// Renders an aggregate as the CSV row used for the parallel-vs-serial
 /// equality check: every counter plus the order-sensitive float stats.
-std::vector<std::string> aggregate_csv_row(
-    const experiments::AggregateAuditResult& r) {
-  return {std::to_string(r.injected),
-          std::to_string(r.escaped),
-          std::to_string(r.caught),
-          std::to_string(r.no_effect),
-          common::fmt(r.setup_ms.mean(), 6),
-          common::fmt(r.setup_ms.stddev(), 6),
-          common::fmt(r.detection_latency_s.mean(), 6),
-          common::fmt(r.detection_latency_s.stddev(), 6),
-          common::fmt(r.audit_cost_per_cycle_us.mean(), 6),
-          std::to_string(r.audit_cycles),
-          std::to_string(r.full_sweeps),
-          std::to_string(r.breakdown.structural_detected),
-          std::to_string(r.breakdown.static_detected),
-          std::to_string(r.breakdown.dynamic_range_detected),
-          std::to_string(r.breakdown.dynamic_semantic_detected),
-          std::to_string(r.breakdown.dynamic_escaped_timing),
-          std::to_string(r.breakdown.dynamic_escaped_no_rule),
-          std::to_string(r.breakdown.no_effect)};
-}
-
-std::string join_row(const std::vector<std::string>& row) {
-  std::string out;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    out += row[i];
-    if (i + 1 < row.size()) {
-      out += ",";
-    }
+std::string aggregate_csv_row(const experiments::AggregateAuditResult& r) {
+  std::string row;
+  for (const std::string& cell :
+       {std::to_string(r.injected), std::to_string(r.escaped),
+        std::to_string(r.caught), std::to_string(r.no_effect),
+        common::fmt(r.setup_ms.mean(), 6), common::fmt(r.setup_ms.stddev(), 6),
+        common::fmt(r.detection_latency_s.mean(), 6),
+        common::fmt(r.detection_latency_s.stddev(), 6),
+        common::fmt(r.audit_cost_per_cycle_us.mean(), 6),
+        std::to_string(r.audit_cycles), std::to_string(r.full_sweeps),
+        std::to_string(r.breakdown.structural_detected),
+        std::to_string(r.breakdown.static_detected),
+        std::to_string(r.breakdown.dynamic_range_detected),
+        std::to_string(r.breakdown.dynamic_semantic_detected),
+        std::to_string(r.breakdown.dynamic_escaped_timing),
+        std::to_string(r.breakdown.dynamic_escaped_no_rule),
+        std::to_string(r.breakdown.no_effect)}) {
+    row += (row.empty() ? "" : ",") + cell;
   }
-  return out;
+  return row;
 }
 
 /// Scheduler event-throughput micro-check. `emulate_pending_set` pays the
@@ -141,10 +131,11 @@ int main(int argc, char** argv) {
   // --- micro-check: scheduler event throughput ---
   const double sched_tombstone = scheduler_events_per_s(false);
   const double sched_hashset = scheduler_events_per_s(true);
+  const double sched_speedup =
+      sched_hashset > 0.0 ? sched_tombstone / sched_hashset : 0.0;
   std::printf("Scheduler micro-check: %.1f M events/s (tombstone cancel) vs "
               "%.1f M events/s (+ emulated pending-id hash set): %.2fx\n\n",
-              sched_tombstone / 1e6, sched_hashset / 1e6,
-              sched_hashset > 0.0 ? sched_tombstone / sched_hashset : 0.0);
+              sched_tombstone / 1e6, sched_hashset / 1e6, sched_speedup);
 
   // --- campaign wall-clock: serial vs parallel, identical seeds ---
   const auto params = workload(duration_s);
@@ -160,8 +151,8 @@ int main(int argc, char** argv) {
   const double parallel_s = seconds_since(parallel_start);
 
   const double speedup = parallel_s > 0.0 ? serial_s / parallel_s : 0.0;
-  const std::string serial_row = join_row(aggregate_csv_row(serial));
-  const std::string parallel_row = join_row(aggregate_csv_row(parallel));
+  const std::string serial_row = aggregate_csv_row(serial);
+  const std::string parallel_row = aggregate_csv_row(parallel);
   const bool equal = serial_row == parallel_row;
 
   common::TablePrinter table({"Arm", "Jobs", "Wall (s)", "Speedup"});
@@ -181,25 +172,19 @@ int main(int argc, char** argv) {
               "at any job count.\n",
               hw);
 
-  std::FILE* file = std::fopen(json_path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  } else {
-    std::fprintf(
-        file,
-        "{\n  \"bench\": \"parallel_campaign\",\n"
-        "  \"runs\": %zu,\n  \"duration_s\": %zu,\n  \"jobs\": %zu,\n"
-        "  \"hardware_concurrency\": %u,\n"
-        "  \"serial_wall_s\": %.3f,\n  \"parallel_wall_s\": %.3f,\n"
-        "  \"speedup\": %.2f,\n  \"aggregates_equal\": %s,\n"
-        "  \"scheduler_events_per_s\": %.0f,\n"
-        "  \"scheduler_events_per_s_with_hashset\": %.0f,\n"
-        "  \"scheduler_speedup\": %.2f\n}\n",
-        runs, duration_s, jobs, hw, serial_s, parallel_s, speedup,
-        equal ? "true" : "false", sched_tombstone, sched_hashset,
-        sched_hashset > 0.0 ? sched_tombstone / sched_hashset : 0.0);
-    std::fclose(file);
-    std::printf("(results written to %s)\n", json_path.c_str());
-  }
-  return equal ? 0 : 1;
+  using bench::Json;
+  bench::Report report("parallel_campaign");
+  report.gate(equal, "parallel aggregate differs from the serial one");
+  report.add("runs", runs)
+      .add("duration_s", duration_s)
+      .add("jobs", jobs)
+      .add("hardware_concurrency", hw)
+      .add("serial_wall_s", Json::fixed(serial_s, 3))
+      .add("parallel_wall_s", Json::fixed(parallel_s, 3))
+      .add("speedup", Json::fixed(speedup, 2))
+      .add("aggregates_equal", equal)
+      .add("scheduler_events_per_s", Json::fixed(sched_tombstone, 0))
+      .add("scheduler_events_per_s_with_hashset", Json::fixed(sched_hashset, 0))
+      .add("scheduler_speedup", Json::fixed(sched_speedup, 2));
+  return report.finish(json_path);
 }

@@ -57,12 +57,14 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "common/table_printer.hpp"
 #include "common/worker_pool.hpp"
 #include "db/controller_schema.hpp"
 #include "db/shard_router.hpp"
 #include "experiments/sharded_controller.hpp"
 #include "obs/capture.hpp"
 #include "obs/metrics.hpp"
+#include "report.hpp"
 
 using namespace wtc;
 
@@ -543,30 +545,27 @@ int main(int argc, char** argv) {
   // --- gate: per-op result equality across all arms ---
   const long div_1_n = first_divergence(serial1.digests, serialN.digests);
   const long div_n_p = first_divergence(serialN.digests, parallelN.digests);
-  const bool results_equal = div_1_n < 0 && div_n_p < 0;
   std::printf("\nresults: serial-1 vs serial-%u %s, serial-%u vs parallel-%u %s\n",
               shards, div_1_n < 0 ? "identical" : "DIVERGED", shards, shards,
               div_n_p < 0 ? "identical" : "DIVERGED");
-  if (div_1_n >= 0) {
-    std::fprintf(stderr, "FAIL: serial-1 vs serial-N diverged at op %ld\n",
-                 div_1_n);
-  }
-  if (div_n_p >= 0) {
-    std::fprintf(stderr, "FAIL: serial-N vs parallel-N diverged at op %ld\n",
-                 div_n_p);
-  }
+  bench::Report report("sharded_db");
+  bool results_equal = report.gate(
+      div_1_n < 0, "serial-1 vs serial-N diverged at op " +
+                       std::to_string(div_1_n));
+  results_equal &= report.gate(
+      div_n_p < 0, "serial-N vs parallel-N diverged at op " +
+                       std::to_string(div_n_p));
 
   // --- gate: per-shard region byte-equality (parallel vs serial oracle) ---
   bool regions_equal = true;
   for (std::uint32_t s = 0; s < shards; ++s) {
     const auto& a = serialN.regions[s];
     const auto& b = parallelN.regions[s];
-    if (a.size() != b.size() ||
-        std::memcmp(a.data(), b.data(), a.size()) != 0) {
-      regions_equal = false;
-      std::fprintf(stderr, "FAIL: shard %u region differs from the serial "
-                           "oracle\n", s);
-    }
+    regions_equal &= report.gate(
+        a.size() == b.size() &&
+            std::memcmp(a.data(), b.data(), a.size()) == 0,
+        "shard " + std::to_string(s) +
+            " region differs from the serial oracle");
   }
   std::printf("regions: %u shard images vs serial oracle: %s\n", shards,
               regions_equal ? "byte-identical" : "DIVERGED");
@@ -583,7 +582,10 @@ int main(int argc, char** argv) {
                              : 0.0;
   const double required =
       static_cast<double>(min_pct) / 100.0 * static_cast<double>(effective);
-  const bool scales = scaling >= required;
+  const bool scales =
+      report.gate(scaling >= required, "scaling " + common::fmt(scaling, 2) +
+                                           "x below " +
+                                           common::fmt(required, 2) + "x");
   std::printf("\n%-12s %14s %10s\n", "arm", "ops/s", "seconds");
   std::printf("%-12s %14.0f %10.3f\n", "serial-1", serial1.ops_per_s,
               serial1.seconds);
@@ -595,10 +597,6 @@ int main(int argc, char** argv) {
       "scaling: %.2fx vs serial-1 (gate: >= %.2fx at effective parallelism "
       "%u = min(%u shards, %u cores))\n",
       scaling, required, effective, shards, hw);
-  if (!scales) {
-    std::fprintf(stderr, "FAIL: scaling %.2fx below %.2fx\n", scaling,
-                 required);
-  }
 
   // --- gate: audit isolation under single-shard overload ---
   const IsolationResult isolation =
@@ -612,10 +610,8 @@ int main(int argc, char** argv) {
   }
   std::printf("  worst non-overloaded ratio: %.3fx (gate: <= 1.10x): %s\n",
               isolation.worst_ratio, isolation.pass ? "ok" : "FAIL");
-  if (!isolation.pass) {
-    std::fprintf(stderr, "FAIL: a non-overloaded shard's audit cycle "
-                         "makespan rose more than 10%%\n");
-  }
+  report.gate(isolation.pass, "a non-overloaded shard's audit cycle "
+                              "makespan rose more than 10%");
 
   // --- obs surface ---
   const auto& m = parallelN.metrics;
@@ -630,48 +626,36 @@ int main(int argc, char** argv) {
     capture->absorb_run({parallelN.metrics, {}});
   }
 
-  const bool pass = results_equal && regions_equal && scales && isolation.pass;
-
-  if (std::FILE* file = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(file, "{\n  \"bench\": \"sharded_db\",\n");
-    std::fprintf(file,
-                 "  \"shards\": %u,\n  \"scale\": %zu,\n"
-                 "  \"per_shard_scale\": %u,\n  \"total_records\": %zu,\n"
-                 "  \"ops\": %zu,\n  \"transfers\": %zu,\n",
-                 shards, scale, per_shard_scale, total_records,
-                 plan.ops.size(), plan.transfers);
-    std::fprintf(file, "  \"arms\": [\n");
-    std::fprintf(file,
-                 "    {\"name\": \"serial_1\", \"ops_per_s\": %.0f},\n"
-                 "    {\"name\": \"serial_n\", \"ops_per_s\": %.0f},\n"
-                 "    {\"name\": \"parallel_n\", \"ops_per_s\": %.0f}\n  ],\n",
-                 serial1.ops_per_s, serialN.ops_per_s, parallelN.ops_per_s);
-    std::fprintf(file,
-                 "  \"results_equal\": %s,\n  \"regions_equal\": %s,\n",
-                 results_equal ? "true" : "false",
-                 regions_equal ? "true" : "false");
-    std::fprintf(file,
-                 "  \"scaling\": {\"measured\": %.3f, \"required\": %.3f, "
-                 "\"hw_cores\": %u, \"effective_parallelism\": %u, "
-                 "\"pass\": %s},\n",
-                 scaling, required, hw, effective, scales ? "true" : "false");
-    std::fprintf(file,
-                 "  \"isolation\": {\"worst_ratio\": %.4f, \"pass\": %s},\n",
-                 isolation.worst_ratio, isolation.pass ? "true" : "false");
-    std::fprintf(file,
-                 "  \"routing\": {\"routed\": %llu, \"cross_shard_links\": "
-                 "%llu, \"imbalance_milli\": %llu},\n",
-                 static_cast<unsigned long long>(
-                     m.counter(obs::Counter::db_shard_routed)),
-                 static_cast<unsigned long long>(
-                     m.counter(obs::Counter::db_cross_shard_links)),
-                 static_cast<unsigned long long>(parallelN.imbalance));
-    std::fprintf(file, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(file);
-    std::printf("(json written to %s)\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
-  }
-
-  return pass ? 0 : 1;
+  using bench::Json;
+  const auto arm_json = [](const char* name, const ArmOutput& arm) {
+    return Json::object(
+        {{"name", name}, {"ops_per_s", Json::fixed(arm.ops_per_s, 0)}});
+  };
+  report.add("shards", shards)
+      .add("scale", scale)
+      .add("per_shard_scale", per_shard_scale)
+      .add("total_records", total_records)
+      .add("ops", plan.ops.size())
+      .add("transfers", plan.transfers)
+      .add("arms", Json::array({arm_json("serial_1", serial1),
+                                arm_json("serial_n", serialN),
+                                arm_json("parallel_n", parallelN)}))
+      .add("results_equal", results_equal)
+      .add("regions_equal", regions_equal)
+      .add("scaling", Json::object({{"measured", Json::fixed(scaling, 3)},
+                                    {"required", Json::fixed(required, 3)},
+                                    {"hw_cores", hw},
+                                    {"effective_parallelism", effective},
+                                    {"pass", scales}}))
+      .add("isolation",
+           Json::object({{"worst_ratio", Json::fixed(isolation.worst_ratio, 4)},
+                         {"pass", isolation.pass}}))
+      .add("routing",
+           Json::object(
+               {{"routed", m.counter(obs::Counter::db_shard_routed)},
+                {"cross_shard_links",
+                 m.counter(obs::Counter::db_cross_shard_links)},
+                {"imbalance_milli", parallelN.imbalance}}))
+      .add("pass", results_equal && regions_equal && scales && isolation.pass);
+  return report.finish(json_path);
 }

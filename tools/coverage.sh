@@ -2,7 +2,7 @@
 # Tier-1 line coverage of src/*/*.cpp with gcc --coverage and gcov.
 #
 # Builds the whole tree in Debug (-O0) with --coverage, runs every ctest
-# (the tier-1 suites, bench smokes, goldens and examples), then asks gcov
+# (the tier-1 suites, bench goldens and examples), then asks gcov
 # for each src/*/*.cpp file's executable lines. Prints the unexecuted
 # count per file, worst first, and the total; lists every unexecuted line
 # as file:line in <build-dir>/coverage-unexecuted.txt. Lines of headers
@@ -28,7 +28,7 @@ cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_COMPILER=g++ \
 cmake --build "$build" -j"$jobs" > /dev/null
 find "$build" -name '*.gcda' -delete
 # A failing test still leaves its counts; the CI test jobs gate failures,
-# this one only reports them (an -O0 build can miss a smoke's wall-clock
+# this one only reports them (an -O0 build can miss a golden's wall-clock
 # floor).
 if ! ctest --test-dir "$build" -j"$jobs" > "$build/coverage-ctest.log"; then
   echo "coverage: some tests failed (see $build/coverage-ctest.log):" >&2
