@@ -1,7 +1,6 @@
 #include "audit/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 
 #include "common/crc32.hpp"
@@ -405,26 +404,6 @@ CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
   return run.finish(&static_watermark_);
 }
 
-bool AuditEngine::header_corrupted(db::TableId t, db::RecordIndex r,
-                                   std::uint32_t expected_next) const {
-  const auto header = db::direct::read_header(db_, t, r);
-  const bool dynamic = db_.schema().tables[t].dynamic;
-  if (header.id_tag != db::expected_id_tag(t, r)) {
-    return true;
-  }
-  if (header.status != db::kStatusFree && header.status != db::kStatusActive) {
-    return true;
-  }
-  if (header.group >= db::kMaxGroups) {
-    return true;
-  }
-  if (dynamic && ((header.status == db::kStatusFree && header.group != 0) ||
-                  (header.status == db::kStatusActive && header.group == 0))) {
-    return true;
-  }
-  return header.next != expected_next;
-}
-
 CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   const db::TableId t = unit.table;
   if (t >= db_.table_count() || db_.lock_info(t)) {
@@ -444,22 +423,10 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   }
   const auto& tl = db_.layout().table(t);
 
-  // Expected `next` links: each group's chain lists its records in index
-  // order. Computed from the stored group values ("offsets ... based on
-  // record sizes stored in system tables; all record sizes are fixed and
-  // known", §4.3.2).
-  std::vector<std::uint32_t> expected_next(tl.num_records, db::kNilLink);
-  std::array<std::uint32_t, db::kMaxGroups> last_in_group;
-  last_in_group.fill(db::kNilLink);
-  for (db::RecordIndex r = 0; r < tl.num_records; ++r) {
-    const auto header = db::direct::read_header(db_, t, r);
-    if (header.group < db::kMaxGroups) {
-      if (last_in_group[header.group] != db::kNilLink) {
-        expected_next[last_in_group[header.group]] = r;
-      }
-      last_in_group[header.group] = r;
-    }
-  }
+  // Expected `next` links, computed from the stored group values
+  // ("offsets ... based on record sizes stored in system tables; all
+  // record sizes are fixed and known", §4.3.2).
+  db::group_links(db_.region(), tl, links_);
 
   // Select: records this installment must validate. All repairs happen
   // after detection (below), so an up-front selection sees the same dirty
@@ -476,9 +443,12 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   // against the pre-repair region state — exactly what the sequential
   // loop reads, since it too repairs only after the detection loop.
   std::vector<char> corrupt(selected.size(), 0);
+  const bool dynamic = db_.schema().tables[t].dynamic;
   parallel_detect(selected.size(), [&](std::size_t k) {
+    const db::RecordIndex r = selected[k];
     corrupt[k] = static_cast<char>(
-        header_corrupted(t, selected[k], expected_next[selected[k]]));
+        db::header_faults(db::direct::read_header(db_, t, r), t, r, dynamic,
+                          links_[r]) != 0);
   });
 
   // Merge in record order, replaying the sequential loop's consecutive-run
@@ -1025,26 +995,17 @@ CheckResult AuditEngine::check_record(db::TableId t, db::RecordIndex r) {
   // the record, not a header pass plus a separate range pass.
   result.cost += config_.cost_event_check;
 
-  // Header check (expected next recomputed against current group layout).
-  const auto& tl = db_.layout().table(t);
-  std::uint32_t expected_next = db::kNilLink;
-  const auto my_header = db::direct::read_header(db_, t, r);
-  if (my_header.group < db::kMaxGroups) {
-    for (db::RecordIndex s = r + 1; s < tl.num_records; ++s) {
-      if (db::direct::read_header(db_, t, s).group == my_header.group) {
-        expected_next = s;
-        break;
-      }
-    }
-  }
-  if (header_corrupted(t, r, expected_next)) {
+  // Header check against the current group layout.
+  db::group_links(db_.region(), db_.layout().table(t), links_);
+  if (db::header_faults(db::direct::read_header(db_, t, r), t, r,
+                        db_.schema().tables[t].dynamic, links_[r]) != 0) {
     report(header_finding(t, r));
     ++result.findings;
     db::direct::repair_header(db_, t, r);
     // Short-circuit: the repair decided the record's fate (it may have
     // been freed), and no per-field range work was performed — so no
     // per-field range cost is booked either.
-    return result;
+    return tally(result);
   }
 
   // The range scan's rule for this record only, ignoring the write-grace

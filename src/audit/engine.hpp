@@ -236,8 +236,6 @@ class AuditEngine {
   [[nodiscard]] bool recently_written(db::TableId t, db::RecordIndex r) const;
   /// Frees `r` and terminates the thread that last wrote it.
   void free_and_terminate(db::TableId t, db::RecordIndex r, Technique technique);
-  [[nodiscard]] bool header_corrupted(db::TableId t, db::RecordIndex r,
-                                      std::uint32_t expected_next) const;
   /// Follows the FK chain from (t, r); returns false on violation.
   [[nodiscard]] bool loop_intact(db::TableId t, db::RecordIndex r,
                                  std::vector<std::pair<db::TableId, db::RecordIndex>>&
@@ -330,6 +328,9 @@ class AuditEngine {
     std::uint32_t golden_crc;
   };
   std::vector<StaticChunk> static_chunks_;
+  /// db::group_links scratch for the structural scan and the event check,
+  /// reused so neither allocates once it has seen the largest table.
+  std::vector<std::uint32_t> links_;
 
   // --- incremental-audit state ---
   std::uint64_t static_watermark_ = 0;

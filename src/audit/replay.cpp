@@ -1,7 +1,6 @@
 #include "audit/replay.hpp"
 
 #include <algorithm>
-#include <array>
 #include <unordered_map>
 
 #include "audit/engine.hpp"
@@ -40,26 +39,13 @@ void mix(std::uint64_t& hash, std::uint64_t value) noexcept {
   }
 }
 
-/// Mirrors db::direct::relink_table on a raw shadow span: chains are a
-/// pure function of the group words (group < kMaxGroups members, record
-/// index order, kNilLink terminated).
+/// Mirrors db::direct::relink_table on a raw shadow span, storing every
+/// link word: the shadow has no dirty tracking to spare.
 void relink_shadow_table(std::span<std::byte> shadow, const db::Layout& layout,
                          db::TableId t) {
-  const auto& tl = layout.table(t);
-  std::vector<std::uint32_t> expected(tl.num_records, db::kNilLink);
-  std::array<std::uint32_t, db::kMaxGroups> last_in_group;
-  last_in_group.fill(db::kNilLink);
-  for (db::RecordIndex r = 0; r < tl.num_records; ++r) {
-    const std::uint32_t group =
-        db::load_u32(shadow, layout.record_offset(t, r) + 8);
-    if (group < db::kMaxGroups) {
-      if (last_in_group[group] != db::kNilLink) {
-        expected[last_in_group[group]] = r;
-      }
-      last_in_group[group] = r;
-    }
-  }
-  for (db::RecordIndex r = 0; r < tl.num_records; ++r) {
+  std::vector<std::uint32_t> expected;
+  db::group_links(shadow, layout.table(t), expected);
+  for (db::RecordIndex r = 0; r < expected.size(); ++r) {
     db::store_u32(shadow, layout.record_offset(t, r) + 12, expected[r]);
   }
 }

@@ -102,9 +102,4 @@ std::size_t ValueHistogram::count_of(std::int64_t value) const noexcept {
   return (it != counts_.end() && it->first == value) ? it->second : 0;
 }
 
-void ValueHistogram::clear() noexcept {
-  counts_.clear();
-  total_ = 0;
-}
-
 }  // namespace wtc::common

@@ -66,7 +66,6 @@ class ValueHistogram {
   /// `fraction * mean_occurrences()` — the paper's "suspect" values.
   [[nodiscard]] std::vector<std::int64_t> suspects(double fraction) const;
   [[nodiscard]] std::size_t count_of(std::int64_t value) const noexcept;
-  void clear() noexcept;
 
  private:
   // Sorted association list: value histograms here are tiny (tens of

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 namespace wtc::common {
@@ -52,10 +51,6 @@ std::string TablePrinter::render() const {
     emit_row(row);
   }
   return out.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const TablePrinter& table) {
-  return os << table.render();
 }
 
 std::string fmt(double value, int digits) {

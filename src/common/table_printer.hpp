@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,9 +22,6 @@ class TablePrinter {
 
   /// Renders the full table; missing trailing cells render empty.
   [[nodiscard]] std::string render() const;
-
-  /// Convenience: render to a stream.
-  friend std::ostream& operator<<(std::ostream& os, const TablePrinter& table);
 
  private:
   std::vector<std::string> header_;

@@ -1,6 +1,5 @@
 #include "db/direct.hpp"
 
-#include <array>
 #include <vector>
 
 namespace wtc::db::direct {
@@ -8,24 +7,12 @@ namespace wtc::db::direct {
 void relink_table(Database& db, TableId t) {
   const auto& tl = db.layout().table(t);
   auto region = db.region();
-  // Compute the correct `next` of every record first, then store only the
-  // words that actually change. Relinking runs on every alloc/free/move, so
-  // blanket stores would mark the whole table dirty (defeating incremental
-  // audit) and over-report legitimate overwrites to the oracle; an
-  // unchanged link word was neither rewritten nor cleansed.
-  std::vector<std::uint32_t> expected(tl.num_records, kNilLink);
-  std::array<std::uint32_t, kMaxGroups> last_in_group;
-  last_in_group.fill(kNilLink);
-  for (RecordIndex r = 0; r < tl.num_records; ++r) {
-    const std::uint32_t group =
-        load_u32(region, db.layout().record_offset(t, r) + 8);
-    if (group < kMaxGroups) {
-      if (last_in_group[group] != kNilLink) {
-        expected[last_in_group[group]] = r;
-      }
-      last_in_group[group] = r;
-    }
-  }
+  // Store only the words that actually change. Blanket stores would mark
+  // the whole table dirty (defeating incremental audit) and over-report
+  // legitimate overwrites to the oracle; an unchanged link word was
+  // neither rewritten nor cleansed.
+  std::vector<std::uint32_t> expected;
+  group_links(region, tl, expected);
   for (RecordIndex r = 0; r < tl.num_records; ++r) {
     const std::size_t link_at = db.layout().record_offset(t, r) + 12;
     if (load_u32(region, link_at) == expected[r]) {

@@ -2,22 +2,22 @@
 //
 // The audit process accesses the database directly rather than through the
 // DB API (Figure 1) — "bypassing the locking and access control mechanisms
-// managed by the API". These helpers are that direct path; the API reuses
-// the relink routine so both sides maintain the identical structural
-// invariant.
+// managed by the API". These helpers are that direct path. The chain
+// rule they restore is db::group_links (layout.hpp), the same function
+// the structural audit checks against, so the API, the audit and the
+// image loader hold one invariant.
 #pragma once
 
 #include "db/database.hpp"
 
 namespace wtc::db::direct {
 
-/// Rebuilds the `next` links of every record of table `t` so each group's
-/// chain lists its records in index order (the structural invariant the
-/// structural audit verifies). Records with out-of-range group values are
-/// left unlinked. O(N_records): the audit's recovery paths use it (and it
-/// doubles as the reference implementation the shadow-index cross-check
-/// and the splice-equivalence bench compare against); the API hot path
-/// uses splice_links instead.
+/// Stores db::group_links's expected `next` into every record of table `t`
+/// whose link differs, with note_write; unchanged words are not rewritten.
+/// Records with out-of-range group values are left unlinked. O(N_records):
+/// the audit's recovery paths use it (and it doubles as the reference the
+/// shadow-index cross-check and the splice-equivalence bench compare
+/// against); the API hot path uses splice_links instead.
 void relink_table(Database& db, TableId t);
 
 /// Splices record `r` into its group chain after the caller changed its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -62,13 +63,11 @@ DiskResult parse_envelope(std::span<const std::byte> raw,
 /// Structural validation of a size-checked payload against the target
 /// database's trusted schema/layout: the catalog bytes must be exactly the
 /// canonical serialization, and every record header must satisfy the
-/// invariants the structural audit enforces (canonical id tag, known
-/// status magic, in-range group, the dynamic free/active group rule, and
-/// next links listing each group's records in index order). An image that
-/// fails any of these would become an unrepairable recovery source: the
-/// audit reloads from the installed pristine copy, so corrupt pristine
-/// structure is re-installed on every repair and the sweep never
-/// converges.
+/// invariant the structural audit enforces (header_faults against
+/// group_links, layout.hpp). An image that fails any of these would
+/// become an unrepairable recovery source: the audit reloads from the
+/// installed pristine copy, so corrupt pristine structure is re-installed
+/// on every repair and the sweep never converges.
 DiskResult validate_structure(const Database& db,
                               std::span<const std::byte> payload) {
   const Layout& layout = db.layout();
@@ -83,36 +82,28 @@ DiskResult validate_structure(const Database& db,
                                          "match this database's schema");
   }
 
+  // One message per header_faults bit, in bit order.
+  static constexpr std::array<const char*, 5> kFaultMessages = {
+      "image corrupt: bad record id tag",
+      "image corrupt: bad record status",
+      "image corrupt: record group out of range",
+      "image corrupt: record status/group disagree",
+      "image corrupt: group chain link out of order",
+  };
+  std::vector<std::uint32_t> links;
   for (std::size_t t = 0; t < layout.tables().size(); ++t) {
     const auto& tl = layout.tables()[t];
     const bool dynamic = db.schema().tables[t].dynamic;
-    // Walk records high-to-low so next_in_group[g] is the index of the
-    // nearest same-group record after the current one.
-    std::array<std::uint32_t, kMaxGroups> next_in_group;
-    next_in_group.fill(kNilLink);
+    group_links(payload, tl, links);
+    // High-to-low: of several bad records, the highest one is reported.
     for (RecordIndex r = tl.num_records; r-- > 0;) {
       const auto header = load_record_header(
           payload, tl.offset + static_cast<std::size_t>(r) * tl.record_size);
-      if (header.id_tag != expected_id_tag(static_cast<TableId>(t), r)) {
-        return fail(DiskError::ImageCorrupt, "image corrupt: bad record id tag");
-      }
-      if (header.status != kStatusFree && header.status != kStatusActive) {
-        return fail(DiskError::ImageCorrupt, "image corrupt: bad record status");
-      }
-      if (header.group >= kMaxGroups) {
+      if (const std::uint32_t faults = header_faults(
+              header, static_cast<TableId>(t), r, dynamic, links[r])) {
         return fail(DiskError::ImageCorrupt,
-                    "image corrupt: record group out of range");
+                    kFaultMessages[static_cast<std::size_t>(std::countr_zero(faults))]);
       }
-      if (dynamic && ((header.status == kStatusFree && header.group != 0) ||
-                      (header.status == kStatusActive && header.group == 0))) {
-        return fail(DiskError::ImageCorrupt,
-                    "image corrupt: record status/group disagree");
-      }
-      if (header.next != next_in_group[header.group]) {
-        return fail(DiskError::ImageCorrupt,
-                    "image corrupt: group chain link out of order");
-      }
-      next_in_group[header.group] = r;
     }
   }
   return ok();

@@ -1,5 +1,6 @@
 #include "db/layout.hpp"
 
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -43,6 +44,45 @@ void store_record_header(std::span<std::byte> region, std::size_t offset,
   store_u32(region, offset + 4, header.status);
   store_u32(region, offset + 8, header.group);
   store_u32(region, offset + 12, header.next);
+}
+
+void group_links(std::span<const std::byte> region, const TableLayout& table,
+                 std::vector<std::uint32_t>& next) {
+  next.assign(table.num_records, kNilLink);
+  std::array<std::uint32_t, kMaxGroups> last_in_group;
+  last_in_group.fill(kNilLink);
+  for (RecordIndex r = 0; r < table.num_records; ++r) {
+    const std::uint32_t group = load_u32(
+        region, table.offset + static_cast<std::size_t>(r) * table.record_size + 8);
+    if (group < kMaxGroups) {
+      if (last_in_group[group] != kNilLink) {
+        next[last_in_group[group]] = r;
+      }
+      last_in_group[group] = r;
+    }
+  }
+}
+
+std::uint32_t header_faults(const RecordHeader& header, TableId t, RecordIndex r,
+                            bool dynamic, std::uint32_t expected_next) noexcept {
+  std::uint32_t faults = 0;
+  if (header.id_tag != expected_id_tag(t, r)) {
+    faults |= kFaultIdTag;
+  }
+  if (header.status != kStatusFree && header.status != kStatusActive) {
+    faults |= kFaultStatus;
+  }
+  if (header.group >= kMaxGroups) {
+    faults |= kFaultGroupRange;
+  }
+  if (dynamic && ((header.status == kStatusFree && header.group != 0) ||
+                  (header.status == kStatusActive && header.group == 0))) {
+    faults |= kFaultStatusGroup;
+  }
+  if (header.next != expected_next) {
+    faults |= kFaultLink;
+  }
+  return faults;
 }
 
 Layout Layout::compute(const Schema& schema) {

@@ -86,6 +86,35 @@ struct TableLayout {
   std::size_t first_field_index = 0;  ///< into the flat field-descriptor array
 };
 
+// --- the record-header invariant (§4.3.2) ---
+// Every record header carries its position-derived id tag, a Free/Active
+// status, an in-range group that agrees with that status (in a dynamic
+// table a Free record lives on the free list, group 0, and an Active one
+// does not), and the index of the next record of its group. These two
+// functions are its one definition: the structural audit, the event
+// check, the relink paths, the image loader and dbinspect all use them.
+
+/// Fills `next` with the expected `next` link of every record of `table`:
+/// the next record of the same group in index order, or kNilLink for a
+/// group's last record and for a record whose group is out of range. A
+/// pure function of the group words.
+void group_links(std::span<const std::byte> region, const TableLayout& table,
+                 std::vector<std::uint32_t>& next);
+
+/// One bit per violated clause of the invariant, in check order; the
+/// lowest set bit is the first fault.
+inline constexpr std::uint32_t kFaultIdTag = 1u << 0;
+inline constexpr std::uint32_t kFaultStatus = 1u << 1;
+inline constexpr std::uint32_t kFaultGroupRange = 1u << 2;
+inline constexpr std::uint32_t kFaultStatusGroup = 1u << 3;
+inline constexpr std::uint32_t kFaultLink = 1u << 4;
+
+/// Faults of record `r` of table `t`'s header, 0 when it satisfies the
+/// invariant. `expected_next` is the record's group_links entry.
+[[nodiscard]] std::uint32_t header_faults(const RecordHeader& header, TableId t,
+                                          RecordIndex r, bool dynamic,
+                                          std::uint32_t expected_next) noexcept;
+
 /// Trusted layout derived from the Schema. The *audit* subsystem uses this
 /// (the paper's audit computes offsets "based on record sizes stored in
 /// system tables"); the client-facing API goes through the in-region

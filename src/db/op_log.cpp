@@ -69,10 +69,6 @@ void ThreadOpLog::advance_watermark(std::uint32_t thread,
   obs::count(obs::Counter::oplog_compactions);
 }
 
-sim::Time ThreadOpLog::watermark(std::uint32_t thread) const noexcept {
-  return thread < logs_.size() ? logs_[thread].watermark : 0;
-}
-
 void ThreadOpLog::clear_thread(std::uint32_t thread) {
   if (thread < logs_.size()) {
     logs_[thread].ops.clear();

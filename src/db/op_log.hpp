@@ -34,8 +34,6 @@ class ThreadOpLog final : public NotificationSink {
   /// op per (table, record). Called by the attester after a clean slice.
   void advance_watermark(std::uint32_t thread, sim::Time attested_up_to);
 
-  [[nodiscard]] sim::Time watermark(std::uint32_t thread) const noexcept;
-
   /// Drops the thread's log (after a completed heal: the rebuilt state is
   /// the new baseline).
   void clear_thread(std::uint32_t thread);

@@ -38,16 +38,6 @@ Status ShardedDbApi::init(sim::ProcessId pid) {
   return first;
 }
 
-Status ShardedDbApi::close() {
-  Status first = Status::Ok;
-  for (auto it = apis_.rbegin(); it != apis_.rend(); ++it) {
-    if (const Status s = (*it)->close(); s != Status::Ok && first == Status::Ok) {
-      first = s;
-    }
-  }
-  return first;
-}
-
 namespace {
 
 /// Holds shard `s`'s mutex for the caller's scope when locking is on; an

@@ -147,8 +147,6 @@ class ShardedDbApi {
   /// Opens every per-shard connection (DBinit on each shard, ascending).
   /// Returns the first non-Ok status, Ok if all succeeded.
   Status init(sim::ProcessId pid);
-  /// Closes every per-shard connection (descending shard order).
-  Status close();
 
   /// When enabled, every keyed op holds the target shard's mutex (and a
   /// transfer holds both, ascending). Off by default: a caller that

@@ -190,11 +190,11 @@ void CfHealer::try_heal(const audit::CfViolation& violation) {
         continue;
       }
       const auto [t, r] = touched[i];
+      // The id tag and status clauses of the header invariant.
       const auto header =
           db::load_record_header(db_.region(), layout.record_offset(t, r));
-      if (header.id_tag != db::expected_id_tag(t, r) ||
-          (header.status != db::kStatusActive &&
-           header.status != db::kStatusFree)) {
+      if ((db::header_faults(header, t, r, false, header.next) &
+           (db::kFaultIdTag | db::kFaultStatus)) != 0) {
         throw std::runtime_error("heal: post-replay header verification failed");
       }
     }

@@ -45,15 +45,6 @@ ProgramBuilder& ProgramBuilder::mul(std::uint8_t rd, std::uint8_t ra, std::uint8
 ProgramBuilder& ProgramBuilder::div(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb) {
   return push({Opcode::Div, rd, ra, rb, 0});
 }
-ProgramBuilder& ProgramBuilder::and_(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb) {
-  return push({Opcode::And, rd, ra, rb, 0});
-}
-ProgramBuilder& ProgramBuilder::or_(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb) {
-  return push({Opcode::Or, rd, ra, rb, 0});
-}
-ProgramBuilder& ProgramBuilder::xor_(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb) {
-  return push({Opcode::Xor, rd, ra, rb, 0});
-}
 ProgramBuilder& ProgramBuilder::shl(std::uint8_t rd, std::uint8_t ra, std::int32_t imm) {
   return push({Opcode::Shl, rd, ra, 0, imm});
 }
@@ -111,11 +102,6 @@ ProgramBuilder& ProgramBuilder::pad(std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) {
     text_.push_back(0xEEull);  // undefined opcode
   }
-  return *this;
-}
-
-ProgramBuilder& ProgramBuilder::raw(std::uint64_t word) {
-  text_.push_back(word);
   return *this;
 }
 

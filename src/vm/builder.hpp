@@ -29,9 +29,6 @@ class ProgramBuilder {
   ProgramBuilder& sub(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb);
   ProgramBuilder& mul(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb);
   ProgramBuilder& div(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb);
-  ProgramBuilder& and_(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb);
-  ProgramBuilder& or_(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb);
-  ProgramBuilder& xor_(std::uint8_t rd, std::uint8_t ra, std::uint8_t rb);
   ProgramBuilder& shl(std::uint8_t rd, std::uint8_t ra, std::int32_t imm);
   ProgramBuilder& shr(std::uint8_t rd, std::uint8_t ra, std::int32_t imm);
   ProgramBuilder& ld(std::uint8_t rd, std::uint8_t ra, std::int32_t imm);
@@ -57,9 +54,6 @@ class ProgramBuilder {
   /// analog of alignment padding / data in a real text segment): control
   /// transferred into padding traps immediately.
   ProgramBuilder& pad(std::uint32_t count);
-
-  /// Emits a raw instruction word (tests / padding).
-  ProgramBuilder& raw(std::uint64_t word);
 
   // --- database ops ---
   ProgramBuilder& db_alloc(std::uint8_t rd, std::uint8_t table_reg,

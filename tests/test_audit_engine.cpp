@@ -6,6 +6,7 @@
 #include "db/api.hpp"
 #include "db/controller_schema.hpp"
 #include "db/direct.hpp"
+#include "obs/metrics.hpp"
 
 namespace wtc::audit {
 namespace {
@@ -279,6 +280,32 @@ TEST_F(EngineTest, EventCheckFindsFreshOutOfRangeWrite) {
   const auto result = engine_->check_record(ids_.connection, c);
   EXPECT_EQ(result.findings, 1u);
   EXPECT_EQ(sink_.findings[0].technique, Technique::RangeCheck);
+}
+
+// A header repair ends the event check early; it is still one check in
+// audit.checks and audit.check_cost_us.
+TEST_F(EngineTest, EventCheckTalliesHeaderRepair) {
+  const auto [p, c, r] = make_call();
+  (void)p;
+  (void)r;
+  const std::size_t at = db_->layout().record_offset(ids_.connection, c);
+  db::store_u32(db_->region(), at, db::load_u32(db_->region(), at) ^ 0x1u);
+
+  obs::Recorder recorder;
+  CheckResult result;
+  {
+    obs::ScopedRecorder scope(recorder);
+    result = engine_->check_record(ids_.connection, c);
+  }
+  EXPECT_EQ(result.findings, 1u);
+  EXPECT_EQ(sink_.count(Technique::StructuralCheck), 1u);
+  EXPECT_EQ(db::direct::read_header(*db_, ids_.connection, c).id_tag,
+            db::expected_id_tag(ids_.connection, c));
+  const auto snapshot = recorder.snapshot();
+  EXPECT_EQ(snapshot.counter(obs::Counter::audit_checks), 1u);
+  EXPECT_GT(result.cost, 0);
+  EXPECT_EQ(snapshot.histogram(obs::Histogram::audit_check_cost_us).sum,
+            static_cast<std::uint64_t>(result.cost));
 }
 
 TEST_F(EngineTest, SelectiveMonitorFlagsRareValueOfPeakedAttribute) {

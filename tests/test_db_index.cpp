@@ -31,6 +31,24 @@ bool regions_equal(const Database& a, const Database& b) {
          std::memcmp(ra.data(), rb.data(), ra.size()) == 0;
 }
 
+/// Every record's group_links entry is its group's TableIndex successor
+/// (kNilLink past the last member and for an out-of-range group).
+bool links_match_index(const Database& db) {
+  std::vector<std::uint32_t> links;
+  for (TableId t = 0; t < db.table_count(); ++t) {
+    const auto& tl = db.layout().table(t);
+    group_links(db.region(), tl, links);
+    for (RecordIndex r = 0; r < tl.num_records; ++r) {
+      const std::uint32_t group =
+          load_u32(db.region(), db.layout().record_offset(t, r) + 8);
+      if (links[r] != db.index(t).succ(group, r).value_or(kNilLink)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 bool all_indexes_verify(const Database& db) {
   for (TableId t = 0; t < db.table_count(); ++t) {
     if (!db.verify_index(t)) {
@@ -283,6 +301,7 @@ TEST_F(IndexTest, RandomizedCampaignMatchesFullRelinkByteForByte) {
       }
     }
     ASSERT_TRUE(regions_equal(*db_, *relink_db)) << "after op " << op;
+    ASSERT_TRUE(links_match_index(*db_)) << "after op " << op;
     if (op % 64 == 0) {
       ASSERT_TRUE(all_indexes_verify(*db_)) << "after op " << op;
     }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string_view>
 
 #include "db/controller_schema.hpp"
@@ -155,6 +156,52 @@ TEST_F(DiskTest, EveryRejectionPathLeavesLiveRegionUntouched) {
                           damaged.begin()));
   EXPECT_TRUE(std::equal(db->region().begin(), db->region().end(),
                          db->pristine().begin()));
+}
+
+/// One header word of one record: 0 id tag, 1 status, 2 group, 3 next.
+struct HeaderEdit {
+  RecordIndex record;
+  std::size_t word;
+  std::uint32_t value;
+};
+
+/// Loads a fresh controller image whose connection-table headers carry
+/// `edits`. The edits go into the payload before the envelope is built, so
+/// the image passes its checksum and reaches the structural check.
+DiskResult load_with_header_edits(std::initializer_list<HeaderEdit> edits) {
+  auto db = make_controller_database();
+  const TableId t = resolve_controller_ids(db->schema()).connection;
+  std::vector<std::byte> payload(db->pristine().begin(), db->pristine().end());
+  for (const auto& edit : edits) {
+    const std::size_t at = db->layout().record_offset(t, edit.record) + 4 * edit.word;
+    store_u32(payload, at, edit.value);
+  }
+  return load_image_bytes(*db, make_image_bytes(payload));
+}
+
+TEST(DiskStructure, RejectsEachHeaderFaultWithItsMessage) {
+  const auto expect_corrupt = [](const DiskResult& loaded, std::string_view message) {
+    EXPECT_FALSE(loaded);
+    EXPECT_EQ(loaded.code, DiskError::ImageCorrupt);
+    EXPECT_EQ(loaded.error, message);
+  };
+  ASSERT_TRUE(load_with_header_edits({}));
+  expect_corrupt(load_with_header_edits({{3, 0, 0}}),
+                 "image corrupt: bad record id tag");
+  expect_corrupt(load_with_header_edits({{3, 1, 0xDEADBEEFu}}),
+                 "image corrupt: bad record status");
+  expect_corrupt(load_with_header_edits({{3, 2, kMaxGroups}}),
+                 "image corrupt: record group out of range");
+  // A free record of a dynamic table must live on the free list.
+  expect_corrupt(load_with_header_edits({{3, 2, 1}}),
+                 "image corrupt: record status/group disagree");
+  expect_corrupt(load_with_header_edits({{3, 3, 5}}),
+                 "image corrupt: group chain link out of order");
+  // Of two bad records, the higher one is reported, whichever its fault.
+  expect_corrupt(load_with_header_edits({{2, 1, 0xDEADBEEFu}, {7, 3, 9}}),
+                 "image corrupt: group chain link out of order");
+  expect_corrupt(load_with_header_edits({{2, 3, 9}, {7, 1, 0xDEADBEEFu}}),
+                 "image corrupt: bad record status");
 }
 
 TEST_F(DiskTest, RejectsTruncatedAndForeignFiles) {

@@ -45,40 +45,22 @@ struct TableScan {
 TableScan scan_table(std::span<const std::byte> region,
                      const db::TableDescriptor& desc, db::TableId t) {
   TableScan scan;
-  // Expected next links: per-group chains in index order.
-  std::vector<std::uint32_t> expected_next(desc.num_records, db::kNilLink);
-  std::vector<std::uint32_t> last_in_group(db::kMaxGroups, db::kNilLink);
+  const db::TableLayout tl{.offset = desc.table_offset,
+                           .record_size = desc.record_size,
+                           .num_records = desc.num_records};
+  std::vector<std::uint32_t> links;
+  db::group_links(region, tl, links);
   for (db::RecordIndex r = 0; r < desc.num_records; ++r) {
-    const std::size_t at = desc.table_offset +
-                           static_cast<std::size_t>(r) * desc.record_size;
-    const auto header = db::load_record_header(region, at);
-    if (header.group < db::kMaxGroups) {
-      if (last_in_group[header.group] != db::kNilLink) {
-        expected_next[last_in_group[header.group]] = r;
-      }
-      last_in_group[header.group] = r;
-    }
-  }
-  for (db::RecordIndex r = 0; r < desc.num_records; ++r) {
-    const std::size_t at = desc.table_offset +
-                           static_cast<std::size_t>(r) * desc.record_size;
-    const auto header = db::load_record_header(region, at);
-    if (header.status == db::kStatusActive) {
-      ++scan.active;
-    } else if (header.status == db::kStatusFree) {
-      ++scan.free_records;
-    } else {
-      ++scan.bad_status;
-    }
-    if (header.id_tag != db::expected_id_tag(t, r)) {
-      ++scan.bad_id;
-    }
-    if (header.group >= db::kMaxGroups) {
-      ++scan.bad_group;
-    }
-    if (header.next != expected_next[r]) {
-      ++scan.bad_links;
-    }
+    const auto header = db::load_record_header(
+        region, tl.offset + static_cast<std::size_t>(r) * tl.record_size);
+    const std::uint32_t faults =
+        db::header_faults(header, t, r, desc.dynamic(), links[r]);
+    scan.active += header.status == db::kStatusActive ? 1 : 0;
+    scan.free_records += header.status == db::kStatusFree ? 1 : 0;
+    scan.bad_status += (faults & db::kFaultStatus) != 0 ? 1 : 0;
+    scan.bad_id += (faults & db::kFaultIdTag) != 0 ? 1 : 0;
+    scan.bad_group += (faults & db::kFaultGroupRange) != 0 ? 1 : 0;
+    scan.bad_links += (faults & db::kFaultLink) != 0 ? 1 : 0;
   }
   return scan;
 }
