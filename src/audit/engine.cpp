@@ -154,8 +154,8 @@ std::uint64_t AuditEngine::table_dirty_chunks(db::TableId t) const {
       mark);
 }
 
-void AuditEngine::parallel_detect(
-    std::size_t items, const std::function<void(std::size_t)>& detect) {
+template <typename Detect>
+void AuditEngine::parallel_detect(std::size_t items, const Detect& detect) {
   if (items == 0) {
     return;
   }
@@ -194,6 +194,13 @@ sim::Duration AuditEngine::greedy_makespan(
     const std::vector<sim::Duration>& task_costs, std::size_t workers) {
   // Greedy list scheduling in task order (the deterministic model of a
   // work queue): each task lands on the currently least-loaded worker.
+  if (workers <= 1) {
+    sim::Duration total = 0;
+    for (const sim::Duration cost : task_costs) {
+      total += cost;
+    }
+    return total;
+  }
   std::vector<sim::Duration> load(std::max<std::size_t>(1, workers), 0);
   for (const sim::Duration cost : task_costs) {
     auto* slot = &load[0];
@@ -291,7 +298,9 @@ class AuditEngine::Installment {
       : progress(unit.progress),
         engine_(engine),
         budget_(budget),
-        grain_(std::max<std::size_t>(1, engine.config_.parallel_grain)) {
+        grain_(std::max<std::size_t>(1, engine.config_.parallel_grain)),
+        task_cost_(engine.task_cost_) {
+    task_cost_.clear();
     if (!progress.started) {
       // First installment: capture the epoch mark. Writes that land during
       // this or any later installment have generations above it and stay
@@ -348,7 +357,7 @@ class AuditEngine::Installment {
   AuditEngine& engine_;
   sim::Duration budget_;
   std::size_t grain_;
-  std::vector<sim::Duration> task_cost_;
+  std::vector<sim::Duration>& task_cost_;  // the engine's reused buffer
 };
 
 CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
@@ -360,7 +369,8 @@ CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
   // Select: the chunk indexes this installment must verify. Computed up
   // front (not interleaved with recovery) so the parallel detection phase
   // sees exactly the set the merge phase will book.
-  std::vector<std::size_t> selected;
+  std::vector<std::size_t>& selected = selected_chunks_;
+  selected.clear();
   for (std::size_t i = run.progress.resume; i < static_chunks_.size(); ++i) {
     const auto& chunk = static_chunks_[i];
     if (unit.scan == Scan::Exhaustive ||
@@ -370,7 +380,8 @@ CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
   }
 
   // Detect (read-only, parallelizable): golden-CRC compare per chunk.
-  std::vector<char> clean(selected.size(), 0);
+  std::vector<char>& clean = verdict_flags_;
+  clean.assign(selected.size(), 0);
   parallel_detect(selected.size(), [&](std::size_t k) {
     const auto& chunk = static_chunks_[selected[k]];
     const auto live = db_.region().subspan(chunk.offset, chunk.length);
@@ -432,7 +443,8 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   // after detection (below), so an up-front selection sees the same dirty
   // set the legacy interleaved loop did.
   const auto resume = static_cast<db::RecordIndex>(run.progress.resume);
-  std::vector<db::RecordIndex> selected;
+  std::vector<db::RecordIndex>& selected = selected_records_;
+  selected.clear();
   for (db::RecordIndex r = resume; r < tl.num_records; ++r) {
     if (exhaustive || db_.header_generation(t, r) > structure_watermark_[t]) {
       selected.push_back(r);
@@ -442,7 +454,8 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   // Detect (read-only, parallelizable): corruption verdict per header,
   // against the pre-repair region state — exactly what the sequential
   // loop reads, since it too repairs only after the detection loop.
-  std::vector<char> corrupt(selected.size(), 0);
+  std::vector<char>& corrupt = verdict_flags_;
+  corrupt.assign(selected.size(), 0);
   const bool dynamic = db_.schema().tables[t].dynamic;
   parallel_detect(selected.size(), [&](std::size_t k) {
     const db::RecordIndex r = selected[k];
@@ -454,7 +467,6 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   // Merge in record order, replaying the sequential loop's consecutive-run
   // accounting (clean-skipped records reset the run). The run lives in the
   // unit's progress, so a truncated scan resumes it.
-  std::vector<db::RecordIndex> bad;
   std::uint32_t& consecutive = run.progress.consecutive;
   std::size_t k = 0;  // position in `selected`
   for (db::RecordIndex r = resume; r < tl.num_records; ++r) {
@@ -470,7 +482,6 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
     }
     run.book(k, config_.cost_per_record_structural);
     if (corrupt[k]) {
-      bad.push_back(r);
       if (++consecutive >= kConsecutiveHeaderThreshold) {
         // Strong indication of misalignment: reload the whole database
         // (§4.3.2). Dynamic state — all active calls — is lost. Verdicts
@@ -495,10 +506,14 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
     ++k;
   }
 
-  for (const db::RecordIndex r : bad) {
-    report(header_finding(t, r));
-    ++run.result.findings;
-    db::direct::repair_header(db_, t, r);
+  // Repair the corrupt records the merge booked: the first k selected.
+  for (std::size_t merged = 0; merged < k; ++merged) {
+    if (corrupt[merged]) {
+      const db::RecordIndex r = selected[merged];
+      report(header_finding(t, r));
+      ++run.result.findings;
+      db::direct::repair_header(db_, t, r);
+    }
   }
   // Repairs above went through the store (note_write), so the repaired
   // records carry generations > mark and get re-verified next cycle — and
@@ -508,22 +523,11 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   return run.finish(&structure_watermark_[t]);
 }
 
-/// Read-only verdict for one record of the range rule. `checked` fields
-/// were examined (each books one cost_per_field_range); `violations` is a
-/// bit per FieldId that failed its rule (schemas cap tables at
-/// db::kMaxFieldsPerTable = 64 fields). The range scan computes verdicts
-/// against the pre-recovery region state, which is exactly what the
-/// sequential interleaved loop read too: recovery writes for record A
-/// touch only A's own field/status bytes (plus neighbors' header link
-/// words on a free-relink), none of which a later record's range
-/// detection reads.
-struct AuditEngine::RangeVerdict {
-  enum class Kind : std::uint8_t { Skip, Grace, Free, Active };
-  Kind kind = Kind::Skip;
-  std::uint32_t checked = 0;
-  std::uint64_t violations = 0;
-};
-
+// The range scan computes verdicts against the pre-recovery region state,
+// which is exactly what the sequential interleaved loop read too: recovery
+// writes for record A touch only A's own field/status bytes (plus
+// neighbors' header link words on a free-relink), none of which a later
+// record's range detection reads.
 AuditEngine::RangeVerdict AuditEngine::range_verdict(db::TableId t,
                                                      db::RecordIndex r) const {
   const auto& spec = db_.schema().tables[t];
@@ -605,7 +609,8 @@ CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
   // Select: records this installment must examine (dirty and not
   // scrub-attested). The skip reasons here book nothing, same as the
   // sequential loop's `continue`s.
-  std::vector<db::RecordIndex> selected;
+  std::vector<db::RecordIndex>& selected = selected_records_;
+  selected.clear();
   for (auto r = static_cast<db::RecordIndex>(run.progress.resume);
        r < spec.num_records; ++r) {
     const std::uint64_t field_gen = db_.field_generation(t, r);
@@ -624,7 +629,8 @@ CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
   }
 
   // Detect (read-only, parallelizable).
-  std::vector<RangeVerdict> verdict(selected.size());
+  std::vector<RangeVerdict>& verdict = range_verdicts_;
+  verdict.assign(selected.size(), RangeVerdict{});
   parallel_detect(selected.size(), [&](std::size_t k) {
     if (recently_written(t, selected[k])) {
       verdict[k].kind = RangeVerdict::Kind::Grace;
@@ -658,11 +664,12 @@ CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
 bool AuditEngine::loop_intact(
     db::TableId t, db::RecordIndex r,
     std::vector<std::pair<db::TableId, db::RecordIndex>>& chain) const {
+  constexpr int kMaxHops = 8;
   chain.clear();
+  chain.reserve(kMaxHops + 1);
   chain.emplace_back(t, r);
   db::TableId cur_t = t;
   db::RecordIndex cur_r = r;
-  constexpr int kMaxHops = 8;
   for (int hop = 0; hop < kMaxHops; ++hop) {
     const db::FieldId fk = fk_field_[cur_t];
     if (fk == kNoField) {
@@ -731,14 +738,15 @@ CheckResult AuditEngine::semantics_scan(WorkUnit& unit, sim::Duration budget) {
   const bool exhaustive = unit.scan == Scan::Exhaustive;
   const std::size_t resume = run.progress.resume;
   std::uint64_t& mark = run.progress.mark;
-  std::vector<std::pair<db::TableId, db::RecordIndex>> chain;
+  auto& chain = chain_;
 
   // Anchor selection. Exhaustive: every record of every anchor table
   // (dynamic + FK-bearing; activity is checked at walk time). Incremental:
   // only records written since the watermark, plus — via the per-anchor
   // dirty sets — the last-known anchor of every dirty chain member, so a
   // corrupted mid-chain link re-walks exactly the loop it belongs to.
-  std::vector<std::vector<char>> walk(db_.table_count());
+  std::vector<std::vector<char>>& walk = walk_;
+  walk.resize(db_.table_count());
   for (db::TableId t = 0; t < db_.table_count(); ++t) {
     walk[t].assign(db_.schema().tables[t].num_records, 0);
   }
@@ -873,7 +881,8 @@ CheckResult AuditEngine::semantics_scan(WorkUnit& unit, sim::Duration budget) {
       }
     }
 
-    std::vector<bool> referenced(spec.num_records, false);
+    std::vector<char>& referenced = referenced_;
+    referenced.assign(spec.num_records, 0);
     for (const auto& [u, f] : referencing_[t]) {
       const auto& uspec = db_.schema().tables[u];
       if (!uspec.dynamic) {
@@ -886,7 +895,7 @@ CheckResult AuditEngine::semantics_scan(WorkUnit& unit, sim::Duration budget) {
         const std::int32_t key = db::direct::read_field(db_, u, r, f);
         if (key > 0 &&
             static_cast<db::RecordIndex>(key - 1) < spec.num_records) {
-          referenced[static_cast<std::size_t>(key - 1)] = true;
+          referenced[static_cast<std::size_t>(key - 1)] = 1;
         }
       }
     }
@@ -969,8 +978,7 @@ CheckResult AuditEngine::selective_scan(WorkUnit& unit) {
       ++run.result.findings;
       // "Further checked by other means": escalate to the semantic audit
       // before acting on a derived (unverified) invariant.
-      std::vector<std::pair<db::TableId, db::RecordIndex>> chain;
-      if (loop_intact(t, r, chain)) {
+      if (loop_intact(t, r, chain_)) {
         // The record's relationships are intact, but the attribute value
         // is a statistical outlier — reset the field only.
         report(field_finding(Technique::SelectiveMonitor, Recovery::ResetField,
@@ -1056,8 +1064,7 @@ CheckResult AuditEngine::run_cycle(const std::vector<db::TableId>& order,
   // exhaustive, restarted from item 0. The carried unit visits only dirty
   // data, so running it instead would miss exactly the corruption that
   // bypassed the store, which the sweep exists to catch.
-  std::vector<WorkUnit> queue;
-  queue.reserve(carry_.size() + 2 + 3 * order.size());
+  std::vector<WorkUnit>& queue = queue_;
   queue.assign(carry_.begin(), carry_.end());
   carry_.clear();
   const auto enqueue_fresh = [&](WorkUnit::Kind kind, db::TableId t) {

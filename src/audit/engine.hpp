@@ -284,8 +284,16 @@ class AuditEngine {
   CheckResult semantics_scan(WorkUnit& unit, sim::Duration budget);
   CheckResult selective_scan(WorkUnit& unit);
 
-  /// Read-only range verdict of one record (defined in engine.cpp).
-  struct RangeVerdict;
+  /// Read-only verdict for one record of the range rule. `checked` fields
+  /// were examined (each books one cost_per_field_range); `violations` is a
+  /// bit per FieldId that failed its rule (schemas cap tables at
+  /// db::kMaxFieldsPerTable = 64 fields).
+  struct RangeVerdict {
+    enum class Kind : std::uint8_t { Skip, Grace, Free, Active };
+    Kind kind = Kind::Skip;
+    std::uint32_t checked = 0;
+    std::uint64_t violations = 0;
+  };
   /// The range rule of one record, shared by the range scan's detection
   /// phase and the event check. Ignores the write-grace window: callers
   /// that honour it test recently_written first.
@@ -302,8 +310,8 @@ class AuditEngine {
   /// `parallel_grain`-sized tasks, on the worker pool when
   /// audit_threads > 1. The tasks count as audit.parallel_tasks whether or
   /// not a pool ran them, so the counter is identical at any thread count.
-  void parallel_detect(std::size_t items,
-                       const std::function<void(std::size_t)>& detect);
+  template <typename Detect>
+  void parallel_detect(std::size_t items, const Detect& detect);
 
   /// Runs one work unit to completion with no budget (the one-shot checks).
   CheckResult run_alone(WorkUnit::Kind kind, db::TableId t, Scan scan);
@@ -328,9 +336,26 @@ class AuditEngine {
     std::uint32_t golden_crc;
   };
   std::vector<StaticChunk> static_chunks_;
-  /// db::group_links scratch for the structural scan and the event check,
-  /// reused so neither allocates once it has seen the largest table.
+  // Per-scan scratch, reused so a cycle allocates nothing once the
+  // buffers have grown to the largest table.
+  /// db::group_links scratch for the structural scan and the event check.
   std::vector<std::uint32_t> links_;
+  /// Items a scan installment selected: static chunk indexes, or records.
+  std::vector<std::size_t> selected_chunks_;
+  std::vector<db::RecordIndex> selected_records_;
+  /// Per selected item: clean (static) / corrupt (structural) verdicts and
+  /// range verdicts, written by the detection phase.
+  std::vector<char> verdict_flags_;
+  std::vector<RangeVerdict> range_verdicts_;
+  /// Booked cost per detection task of the running installment.
+  std::vector<sim::Duration> task_cost_;
+  /// The semantic scan's per-table anchor selection, its loop walk and
+  /// its orphan sweep's referenced set.
+  std::vector<std::vector<char>> walk_;
+  std::vector<std::pair<db::TableId, db::RecordIndex>> chain_;
+  std::vector<char> referenced_;
+  /// A cycle's work queue.
+  std::vector<WorkUnit> queue_;
 
   // --- incremental-audit state ---
   std::uint64_t static_watermark_ = 0;

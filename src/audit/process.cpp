@@ -312,7 +312,8 @@ void PeriodicAuditElement::tick(AuditProcess& process) {
       result += engine.check_selective(t);
     }
   } else {
-    std::vector<db::TableId> order;
+    std::vector<db::TableId>& order = order_;
+    order.clear();
     if (process.config().engine.cycle_budget > 0) {
       // A budgeted cycle may not reach every table before the allowance
       // runs out, so rank by audit pressure: tables with the most

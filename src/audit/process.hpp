@@ -231,6 +231,9 @@ class PeriodicAuditElement final : public AuditElement {
 
  private:
   void tick(AuditProcess& process);
+
+  /// The cycle's table order, reused from tick to tick.
+  std::vector<db::TableId> order_;
 };
 
 /// Event-triggered audit (§4.3): targeted check of each updated record.

@@ -11,7 +11,9 @@ void relink_table(Database& db, TableId t) {
   // the whole table dirty (defeating incremental audit) and over-report
   // legitimate overwrites to the oracle; an unchanged link word was
   // neither rewritten nor cleansed.
-  std::vector<std::uint32_t> expected;
+  // Per-thread scratch: audit recoveries relink on every free and repair,
+  // and a reused buffer keeps them from allocating once per call.
+  thread_local std::vector<std::uint32_t> expected;
   group_links(region, tl, expected);
   for (RecordIndex r = 0; r < tl.num_records; ++r) {
     const std::size_t link_at = db.layout().record_offset(t, r) + 12;

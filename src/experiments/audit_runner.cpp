@@ -44,6 +44,13 @@ AuditRunResult run_audit_experiment(const AuditRunParams& params) {
       stack.spawn_native_client(recording ? &oplog : stack.audit_sink());
   if (params.injections_enabled) {
     stack.spawn_db_injector(params.injector);
+    // One injection per mean inter-arrival (exactly so at the Table-2
+    // fixed rate): the oracle's log is sized once instead of growing
+    // through the run.
+    if (params.injector.inter_arrival > 0) {
+      stack.oracle().reserve(static_cast<std::size_t>(
+          params.duration / params.injector.inter_arrival + 1));
+    }
   }
 
   stack.scheduler().run_until(static_cast<sim::Time>(params.duration));

@@ -11,14 +11,25 @@ CorruptionOracle::CorruptionOracle(const db::Database& db,
       live_(db.region().size()),
       pending_(db.region().size()) {}
 
+std::vector<std::pair<std::size_t, std::uint32_t>>::iterator
+CorruptionOracle::ByteFilter::find(std::size_t offset) {
+  return std::lower_bound(
+      count_.begin(), count_.end(), offset,
+      [](const auto& entry, std::size_t key) { return entry.first < key; });
+}
+
 void CorruptionOracle::ByteFilter::add(std::size_t offset) {
-  if (++count_[offset] == 1) {
-    words_[offset / 64] |= std::uint64_t{1} << (offset % 64);
+  const auto it = find(offset);
+  if (it != count_.end() && it->first == offset) {
+    ++it->second;
+    return;
   }
+  count_.insert(it, {offset, 1});
+  words_[offset / 64] |= std::uint64_t{1} << (offset % 64);
 }
 
 void CorruptionOracle::ByteFilter::drop(std::size_t offset) {
-  const auto it = count_.find(offset);
+  const auto it = find(offset);
   if (--it->second == 0) {
     count_.erase(it);
     words_[offset / 64] &= ~(std::uint64_t{1} << (offset % 64));
@@ -74,6 +85,12 @@ TargetKind CorruptionOracle::classify_offset(std::size_t offset) const {
     return TargetKind::KeyField;
   }
   return fs.has_range() ? TargetKind::RangedField : TargetKind::UnruledField;
+}
+
+void CorruptionOracle::reserve(std::size_t injections) {
+  records_.reserve(injections);
+  live_.reserve(injections);
+  pending_.reserve(injections);
 }
 
 std::uint64_t CorruptionOracle::record_injection(std::size_t offset,

@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "audit/report.hpp"
@@ -88,6 +88,9 @@ class CorruptionOracle final : public db::RegionObserver, public audit::ReportSi
   void on_finding(const audit::Finding& finding) override;
 
   [[nodiscard]] OracleSummary summary() const;
+  /// Sizes the injection log and byte filters for `injections`
+  /// injections, so recording up to that many allocates nothing.
+  void reserve(std::size_t injections);
   [[nodiscard]] const std::vector<InjectionRecord>& records() const noexcept {
     return records_;
   }
@@ -112,11 +115,17 @@ class CorruptionOracle final : public db::RegionObserver, public audit::ReportSi
     }
     void add(std::size_t offset);
     void drop(std::size_t offset);
+    void reserve(std::size_t bytes) { count_.reserve(bytes); }
     /// True if any byte of [offset, offset+len) is occupied.
     [[nodiscard]] bool any(std::size_t offset, std::size_t len) const noexcept;
 
    private:
-    std::unordered_map<std::size_t, std::uint32_t> count_;  // occupied bytes
+    [[nodiscard]] std::vector<std::pair<std::size_t, std::uint32_t>>::iterator
+    find(std::size_t offset);
+
+    /// (offset, count) of every occupied byte, sorted by offset: a flat
+    /// vector keeps its capacity as bytes come and go.
+    std::vector<std::pair<std::size_t, std::uint32_t>> count_;
     std::vector<std::uint64_t> words_;
   };
 

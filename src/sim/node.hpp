@@ -9,8 +9,11 @@
 // and per-process timers that die with their process.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -28,12 +31,79 @@ namespace wtc::sim {
 using ProcessId = std::uint32_t;
 inline constexpr ProcessId kNoProcess = 0;
 
+/// The argument words of a Message, held inline. The capacity is the
+/// largest frame in the tree: the 4 reliable-framing words around a 6-word
+/// CF violation (audit/messages.hpp). Growing past it throws
+/// std::length_error; a message is never truncated.
+class MessageArgs {
+ public:
+  static constexpr std::size_t kCapacity = 10;
+  using value_type = std::uint64_t;
+  using iterator = std::uint64_t*;
+  using const_iterator = const std::uint64_t*;
+
+  MessageArgs() noexcept = default;
+  MessageArgs(std::initializer_list<std::uint64_t> words) {
+    append(words.begin(), words.end());
+  }
+  MessageArgs& operator=(std::initializer_list<std::uint64_t> words) {
+    assign(words.begin(), words.end());
+    return *this;
+  }
+
+  /// assign/append/push_back change nothing when they throw.
+  template <typename It>
+  void assign(It first, It last) {
+    const auto count = static_cast<std::size_t>(std::distance(first, last));
+    if (count > kCapacity) {
+      overflow(count);
+    }
+    size_ = 0;
+    append(first, last);
+  }
+  template <typename It>
+  void append(It first, It last) {
+    const auto count = static_cast<std::size_t>(std::distance(first, last));
+    if (count > kCapacity - size_) {
+      overflow(size_ + count);
+    }
+    std::copy(first, last, words_ + size_);
+    size_ += static_cast<std::uint32_t>(count);
+  }
+  void push_back(std::uint64_t word) {
+    if (size_ == kCapacity) {
+      overflow(size_ + 1);
+    }
+    words_[size_++] = word;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::uint64_t& operator[](std::size_t i) noexcept { return words_[i]; }
+  [[nodiscard]] std::uint64_t operator[](std::size_t i) const noexcept {
+    return words_[i];
+  }
+  [[nodiscard]] iterator begin() noexcept { return words_; }
+  [[nodiscard]] iterator end() noexcept { return words_ + size_; }
+  [[nodiscard]] const_iterator begin() const noexcept { return words_; }
+  [[nodiscard]] const_iterator end() const noexcept { return words_ + size_; }
+
+  friend bool operator==(const MessageArgs& a, const MessageArgs& b) noexcept {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  [[noreturn]] static void overflow(std::size_t wanted);
+
+  std::uint32_t size_ = 0;
+  std::uint64_t words_[kCapacity] = {};
+};
+
 /// An IPC message. `type` is interpreted by the receiver; `args` carries
 /// small scalars (table ids, record indexes, client pids, timestamps).
 struct Message {
   ProcessId from = kNoProcess;
   std::uint32_t type = 0;
-  std::vector<std::uint64_t> args;
+  MessageArgs args;
 };
 
 class Node;
@@ -86,10 +156,14 @@ class Node {
   ProcessId spawn(std::string name, std::shared_ptr<Process> process);
 
   /// Kills a process: no further messages or timers reach it; on_stopped()
-  /// runs immediately. No-op (returns false) if already dead.
+  /// runs immediately. No-op (returns false) if already dead. A process
+  /// killed from inside one of its own callbacks stays allocated until
+  /// that callback returns.
   bool kill(ProcessId pid);
 
-  [[nodiscard]] bool alive(ProcessId pid) const noexcept;
+  [[nodiscard]] bool alive(ProcessId pid) const noexcept {
+    return pid < table_.size() && table_[pid].process != nullptr;
+  }
   [[nodiscard]] std::string name_of(ProcessId pid) const;
 
   /// Queues `message` for delivery to `to` after `delay` (default: the IPC
@@ -117,37 +191,72 @@ class Node {
   }
 
   /// Looks up a live process by pid; nullptr if dead/unknown.
-  [[nodiscard]] std::shared_ptr<Process> find(ProcessId pid) const;
+  [[nodiscard]] std::shared_ptr<Process> find(ProcessId pid) const {
+    return alive(pid) ? table_[pid].owner : nullptr;
+  }
 
   [[nodiscard]] Scheduler& scheduler() noexcept { return scheduler_; }
   [[nodiscard]] Time now() const noexcept { return scheduler_.now(); }
 
   /// Total processes ever spawned / currently alive (for assertions).
   [[nodiscard]] std::size_t spawned_count() const noexcept { return next_pid_ - 1; }
-  [[nodiscard]] std::size_t alive_count() const noexcept { return table_.size(); }
+  [[nodiscard]] std::size_t alive_count() const noexcept { return alive_; }
 
   /// Default modelled latency of the POSIX message queue between DB API
   /// and the audit process (§4.2).
   static constexpr Duration kDefaultIpcDelay = 50;  // 50 us
 
  private:
-  struct Slot {
+  friend class Process;
+
+  /// A link this pid has sent on, cached so send() finds its counters
+  /// without hashing.
+  struct Link {
+    ProcessId to;
+    LinkCounters* counters;
+  };
+  /// One process-table row, indexed by pid (pids are never reused; row 0
+  /// is kNoProcess, which never lives).
+  struct Entry {
+    Process* process = nullptr;     // null once dead
+    std::uint64_t incarnation = 0;  // the live incarnation; 0 once dead
+    std::shared_ptr<Process> owner;
+    std::vector<Link> links;
     std::string name;
-    std::shared_ptr<Process> process;
-    std::uint64_t incarnation;
+  };
+  /// A callback running on behalf of `pid`: if it kills its own process,
+  /// kill() parks the last reference in `released`, which is dropped when
+  /// the callback returns.
+  struct Dispatch {
+    ProcessId pid;
+    Dispatch* outer;
+    std::shared_ptr<Process> released;
   };
 
+  /// The process `pid` if it is alive in `incarnation`, else nullptr.
+  [[nodiscard]] Process* live(ProcessId pid, std::uint64_t incarnation) const noexcept {
+    return pid < table_.size() && table_[pid].incarnation == incarnation
+               ? table_[pid].process
+               : nullptr;
+  }
+  /// Runs `fn` as a callback of `pid` (see Dispatch).
+  template <typename Fn>
+  void dispatch(ProcessId pid, Fn&& fn);
+
+  /// The counters of link `from -> to`; map entries never move, so the
+  /// reference stays valid for the node's lifetime.
+  LinkCounters& link(ProcessId from, ProcessId to);
   static constexpr std::uint64_t link_key(ProcessId from, ProcessId to) noexcept {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
 
-  /// Schedules the delivery of `message` to `to`; `link` is the counters
-  /// entry of the message's link (unordered_map entries never move, so the
-  /// event holds it by reference instead of looking it up again).
+  /// Schedules the delivery of `message` to `to` on `link`.
   void deliver(ProcessId to, Message message, Duration delay, LinkCounters& link);
 
   Scheduler& scheduler_;
-  std::unordered_map<ProcessId, Slot> table_;
+  std::vector<Entry> table_;
+  std::size_t alive_ = 0;
+  Dispatch* dispatching_ = nullptr;  // innermost running process callback
   ProcessId next_pid_ = 1;
   std::uint64_t next_incarnation_ = 1;
   std::optional<ChannelFaults> faults_;
@@ -155,22 +264,35 @@ class Node {
   LinkCounters totals_;
 };
 
+inline Time Process::now() const noexcept { return node_->now(); }
+
+template <typename Fn>
+void Node::dispatch(ProcessId pid, Fn&& fn) {
+  Dispatch frame{pid, dispatching_, nullptr};
+  dispatching_ = &frame;
+  struct Restore {
+    Node& node;
+    Dispatch& frame;
+    ~Restore() { node.dispatching_ = frame.outer; }
+  } restore{*this, frame};
+  fn();
+}
+
 template <typename Fn>
 EventId Process::schedule_after(Duration delay, Fn&& fn) {
   Node& node = *node_;
-  return node.scheduler().schedule_after(
-      static_cast<Time>(delay),
-      [&node, pid = pid_, incarnation = incarnation_,
-       fn = std::forward<Fn>(fn)]() mutable {
-        // Fire only if the same incarnation of the process is still alive;
-        // a killed (or killed-and-restarted) process must not observe
-        // timers from its previous life. `process` keeps the object alive
-        // while its own callback runs, even if the callback kills it.
-        const std::shared_ptr<Process> process = node.find(pid);
-        if (process && process->incarnation_ == incarnation) {
-          fn();
-        }
-      });
+  // Fires only if the same incarnation of the process is still alive: a
+  // killed (or killed-and-restarted) process must not observe timers from
+  // its previous life.
+  auto timer = [&node, pid = pid_, incarnation = incarnation_,
+                fn = std::forward<Fn>(fn)]() mutable {
+    if (node.live(pid, incarnation) != nullptr) {
+      node.dispatch(pid, fn);
+    }
+  };
+  static_assert(Scheduler::kStoredInline<decltype(timer)>,
+                "process timers must fit a scheduler slot");
+  return node.scheduler().schedule_after(static_cast<Time>(delay), std::move(timer));
 }
 
 }  // namespace wtc::sim

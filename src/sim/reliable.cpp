@@ -28,12 +28,7 @@ ReliableSender::~ReliableSender() {
 }
 
 std::uint64_t ReliableSender::send(Message inner) {
-  Pending pending;
-  pending.frame.args = {channel_, 0, inner.type,
-                        static_cast<std::uint64_t>(inner.from)};
-  pending.frame.args.insert(pending.frame.args.end(), inner.args.begin(),
-                            inner.args.end());
-  return launch(std::move(pending));
+  return send_to(kNoProcess, std::move(inner));
 }
 
 std::uint64_t ReliableSender::send_to(ProcessId to, Message inner) {
@@ -41,8 +36,7 @@ std::uint64_t ReliableSender::send_to(ProcessId to, Message inner) {
   pending.fixed_to = to;
   pending.frame.args = {channel_, 0, inner.type,
                         static_cast<std::uint64_t>(inner.from)};
-  pending.frame.args.insert(pending.frame.args.end(), inner.args.begin(),
-                            inner.args.end());
+  pending.frame.args.append(inner.args.begin(), inner.args.end());
   return launch(std::move(pending));
 }
 

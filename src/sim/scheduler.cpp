@@ -1,41 +1,75 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 
 namespace wtc::sim {
 
-std::uint32_t Scheduler::store(Callback cb) {
-  if (free_slots_.empty()) {
-    slots_.push_back(std::move(cb));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+Scheduler::~Scheduler() {
+  for (const Key& key : heap_) {
+    release(static_cast<std::uint32_t>(key.order & kSlotMask));
   }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  slots_[slot] = std::move(cb);
-  return slot;
 }
 
-EventId Scheduler::schedule_at(Time t, Callback cb) {
+void Scheduler::grow() {
+  if (next_id_ >= kIdLimit) {
+    throw std::overflow_error("sim::Scheduler: event id space exhausted");
+  }
+  if (!free_slots_.empty()) {
+    return;
+  }
+  const std::size_t base = chunks_.size() * kChunkSlots;
+  if (base + kChunkSlots > kSlotMask + 1) {
+    throw std::length_error("sim::Scheduler: too many pending events");
+  }
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  // Highest index first, so the free list hands out the lowest one next.
+  for (std::size_t i = kChunkSlots; i-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(base + i));
+  }
+}
+
+void Scheduler::release(std::uint32_t index) noexcept {
+  Slot& s = slot(index);
+  s.ops->destroy(s.storage);
+  s.ops = nullptr;
+  s.cancelled = false;
+  free_slots_.push_back(index);
+}
+
+EventId Scheduler::push(Time t, std::uint32_t index) {
   const EventId id = next_id_++;
-  heap_.push_back(Key{std::max(t, now_), id, store(std::move(cb)), false});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key{std::max(t, now_), (id << kSlotBits) | index};
+  // Sift up: move parents down into the hole until the key's place is found.
+  std::size_t hole = heap_.size();
+  heap_.push_back(key);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!before(key, heap_[parent])) {
+      break;
+    }
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
   obs::gauge_max(obs::Gauge::sched_max_pending_events,
                  heap_.size() - tombstones_);
   return id;
 }
 
 bool Scheduler::cancel(EventId id) {
-  // Rare path: find the entry and tombstone it in place. Mutating the
-  // non-key fields leaves the heap order intact; the tombstone and its
-  // callable are discarded when it surfaces at the top.
-  for (Key& key : heap_) {
-    if (key.id == id) {
-      if (key.cancelled) {
+  // Rare path: find the entry and tombstone its slot. The key itself is
+  // untouched, so the heap order holds; the tombstone and its callable are
+  // discarded when it surfaces at the top.
+  for (const Key& key : heap_) {
+    if ((key.order >> kSlotBits) == id) {
+      Slot& s = slot(static_cast<std::uint32_t>(key.order & kSlotMask));
+      if (s.cancelled) {
         return false;  // double cancel
       }
-      key.cancelled = true;
+      s.cancelled = true;
       ++tombstones_;
       obs::count(obs::Counter::sched_events_cancelled);
       return true;
@@ -44,18 +78,44 @@ bool Scheduler::cancel(EventId id) {
   return false;  // already fired or never existed
 }
 
-Scheduler::Key Scheduler::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
+Scheduler::Key Scheduler::pop() noexcept {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
   heap_.pop_back();
-  return key;
+  const std::size_t size = heap_.size();
+  if (size == 0) {
+    return top;
+  }
+  // Sift down from the root: move the least child up into the hole until
+  // `last` fits there.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= size) {
+      break;
+    }
+    const std::size_t end = std::min(first + 4, size);
+    std::size_t least = first;
+    for (std::size_t child = first + 1; child < end; ++child) {
+      if (before(heap_[child], heap_[least])) {
+        least = child;
+      }
+    }
+    if (!before(heap_[least], last)) {
+      break;
+    }
+    heap_[hole] = heap_[least];
+    hole = least;
+  }
+  heap_[hole] = last;
+  return top;
 }
 
 void Scheduler::discard_cancelled_top() {
-  while (!heap_.empty() && heap_.front().cancelled) {
-    const Key key = pop();
-    slots_[key.slot] = nullptr;
-    free_slots_.push_back(key.slot);
+  while (!heap_.empty() &&
+         slot(static_cast<std::uint32_t>(heap_.front().order & kSlotMask))
+             .cancelled) {
+    release(static_cast<std::uint32_t>(pop().order & kSlotMask));
     --tombstones_;
     obs::count(obs::Counter::sched_tombstones_purged);
   }
@@ -70,12 +130,16 @@ bool Scheduler::step() {
   now_ = key.time;
   ++fired_;
   obs::count(obs::Counter::sched_events_fired);
-  // Move the callable out before freeing its slot: the callback may
-  // schedule events that reuse the slot or grow slots_. Its captures are
-  // released when `cb` goes out of scope, right after it returns.
-  Callback cb = std::move(slots_[key.slot]);
-  free_slots_.push_back(key.slot);
-  cb();
+  // The callable runs in place: chunks never move, and its slot is not on
+  // the free list until it returns, so events it schedules land elsewhere.
+  // Its captures are released right after it returns (or throws).
+  struct Release {
+    Scheduler& scheduler;
+    std::uint32_t index;
+    ~Release() { scheduler.release(index); }
+  } done{*this, static_cast<std::uint32_t>(key.order & kSlotMask)};
+  Slot& s = slot(done.index);
+  s.ops->invoke(s.storage);
   return true;
 }
 

@@ -5,21 +5,29 @@
 // callbacks here. Two events at the same instant fire in scheduling order
 // (FIFO tie-break), which keeps runs bit-reproducible across platforms.
 //
-// The heap orders small fixed-size keys {time, id, slot}; each event's
-// callable sits in a slot store beside it and never moves while the heap
-// sifts. Freed slots go on a free list, so a steady-state run reuses the
-// same slots and the store stops growing at the peak pending count.
+// The heap is a 4-ary heap of 16-byte keys {time, id << 24 | slot}; each
+// event's callable sits in a slot beside it and never moves while the heap
+// sifts. A slot stores its callable inline — a process timer, a message
+// delivery with its Message, or any other closure up to kInlineBytes — so
+// scheduling an event allocates nothing once the slot store has grown to
+// the run's peak pending count; freed slots go on a free list and are
+// reused. Slots live in fixed-size chunks that never move, so a callable
+// runs in place even when it schedules more events.
 //
-// Cancellation uses in-place tombstones instead of a pending-id hash set:
-// schedule_at/step — the hot path, fired millions of times per run — do
-// no hashing at all; cancel() (rare: the only callers are tests and
-// explicit teardown paths) scans the heap, marks the key cancelled, and
+// Cancellation sets the slot's tombstone flag instead of keeping a
+// pending-id hash set: schedule_at/step — the hot path, fired millions of
+// times per run — do no hashing at all; cancel() (rare: the only callers
+// are tests and explicit teardown paths) scans the heap for the id, and
 // step() discards tombstones as they surface, releasing their callables
 // and slots only then.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -31,17 +39,35 @@ using EventId = std::uint64_t;
 
 class Scheduler {
  public:
-  using Callback = std::function<void()>;
+  /// Bytes of closure a slot holds inline. Sized for the largest hot-path
+  /// event, a message delivery carrying its Message (Node checks the fit
+  /// of its deliveries and process timers at compile time). A larger or over-aligned callable is boxed
+  /// on the heap instead; nothing on the hot path is.
+  static constexpr std::size_t kInlineBytes = 120;
+
+  /// True when `Fn` is stored in the slot itself, with no heap box.
+  template <typename Fn>
+  static constexpr bool kStoredInline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::uint64_t);
+
+  Scheduler() = default;
+  Scheduler(const Scheduler&) = delete;
+  Scheduler& operator=(const Scheduler&) = delete;
+  /// Destroys the callables of events still pending (fired ones are gone).
+  ~Scheduler();
 
   /// Current virtual time. Monotone non-decreasing.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `cb` at absolute time `t` (>= now, else fires "now").
-  EventId schedule_at(Time t, Callback cb);
+  /// Schedules `fn` (any move-constructible `void()` callable) at absolute
+  /// time `t` (>= now, else fires "now").
+  template <typename Fn>
+  EventId schedule_at(Time t, Fn&& fn);
 
-  /// Schedules `cb` after `delay` microseconds.
-  EventId schedule_after(Time delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
+  /// Schedules `fn` after `delay` microseconds.
+  template <typename Fn>
+  EventId schedule_after(Time delay, Fn&& fn) {
+    return schedule_at(now_ + delay, std::forward<Fn>(fn));
   }
 
   /// Cancels a pending event. Returns false if it already fired, was
@@ -73,39 +99,95 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
  private:
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+  /// Ids must fit the key's upper 40 bits.
+  static constexpr EventId kIdLimit = EventId{1} << (64 - kSlotBits);
+  static constexpr std::size_t kChunkBits = 6;  // 64 slots per chunk
+  static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkBits;
+
   struct Key {
     Time time;
-    EventId id;          // doubles as the FIFO tie-break
-    std::uint32_t slot;  // index of the callable in slots_
-    bool cancelled;      // tombstone: discarded when it surfaces
+    std::uint64_t order;  // id << kSlotBits | slot; the id is the FIFO tie-break
   };
-  static_assert(sizeof(Key) == 24);
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const noexcept {
-      return a.time != b.time ? a.time > b.time : a.id > b.id;
-    }
+  static_assert(sizeof(Key) == 16);
+  [[nodiscard]] static bool before(const Key& a, const Key& b) noexcept {
+    return a.time != b.time ? a.time < b.time : a.order < b.order;
+  }
+
+  /// Type-erased operations on a slot's stored callable.
+  struct Ops {
+    void (*invoke)(void* storage);
+    void (*destroy)(void* storage) noexcept;
+  };
+  template <typename Fn>
+  static constexpr Ops kOps{
+      [](void* storage) { (*static_cast<Fn*>(storage))(); },
+      [](void* storage) noexcept { static_cast<Fn*>(storage)->~Fn(); }};
+
+  struct Slot {
+    const Ops* ops = nullptr;  // the stored callable's ops; null when free
+    bool cancelled = false;    // tombstone: discarded when its key surfaces
+    alignas(std::uint64_t) unsigned char storage[kInlineBytes];
   };
 
-  /// Moves `cb` into a free slot (reusing one when the free list has any)
-  /// and returns its index.
-  std::uint32_t store(Callback cb);
+  [[nodiscard]] Slot& slot(std::uint32_t index) noexcept {
+    return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
+  }
+  /// Pops a free slot index, growing the store by one chunk when none is
+  /// free.
+  std::uint32_t acquire_slot() {
+    if (free_slots_.empty() || next_id_ >= kIdLimit) {
+      grow();
+    }
+    const std::uint32_t index = free_slots_.back();
+    free_slots_.pop_back();
+    return index;
+  }
+  /// Adds a chunk of free slots; throws once the id or slot space (the
+  /// key's 40 and 24 bits) is exhausted.
+  void grow();
+  /// Destroys slot `index`'s callable and returns the slot to the free list.
+  void release(std::uint32_t index) noexcept;
+  /// Issues the next id, keys slot `index` under it at `t` and sifts the
+  /// key up the heap.
+  EventId push(Time t, std::uint32_t index);
   /// Pops `heap_`'s top key (the heap must be non-empty).
-  Key pop();
+  Key pop() noexcept;
   /// Pops cancelled keys off the heap top, releasing their callables and
   /// slots, so heap_.front() (if any) is the earliest live event.
   void discard_cancelled_top();
 
-  // Binary heap over `heap_` (std::push_heap/pop_heap) rather than a
-  // std::priority_queue: cancel() needs to scan and mark entries in
-  // place, which priority_queue's interface forbids.
-  std::vector<Key> heap_;
-  std::vector<Callback> slots_;           // callables, indexed by Key::slot
-  std::vector<std::uint32_t> free_slots_;  // slots_ entries not in use
+  std::vector<Key> heap_;  // 4-ary min-heap on (time, order)
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_slots_;  // slot indexes not in use
   std::size_t tombstones_ = 0;  // cancelled entries still inside heap_
   Time now_ = 0;
   EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
   bool stopped_ = false;
 };
+
+template <typename Fn>
+EventId Scheduler::schedule_at(Time t, Fn&& fn) {
+  using Stored = std::decay_t<Fn>;
+  if constexpr (kStoredInline<Stored>) {
+    const std::uint32_t index = acquire_slot();
+    Slot& s = slot(index);
+    try {
+      ::new (static_cast<void*>(s.storage)) Stored(std::forward<Fn>(fn));
+    } catch (...) {
+      free_slots_.push_back(index);
+      throw;
+    }
+    s.ops = &kOps<Stored>;
+    return push(t, index);
+  } else {
+    // Off the hot path: too large to sit in a slot, so it sits behind one.
+    return schedule_at(t, [box = std::make_unique<Stored>(std::forward<Fn>(fn))]() {
+      (*box)();
+    });
+  }
+}
 
 }  // namespace wtc::sim

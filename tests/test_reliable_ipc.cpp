@@ -2,6 +2,16 @@
 // delivery layer (sim::ReliableSender/Receiver) built on top of it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
+#include <vector>
+
+#include "audit/messages.hpp"
+#include "fuzz/harness.hpp"
+#include "obs/metrics.hpp"
 #include "sim/node.hpp"
 #include "sim/reliable.hpp"
 
@@ -22,7 +32,7 @@ Message typed(ProcessId from, std::uint32_t type, std::vector<std::uint64_t> arg
   Message m;
   m.from = from;
   m.type = type;
-  m.args = std::move(args);
+  m.args.assign(args.begin(), args.end());
   return m;
 }
 
@@ -313,6 +323,134 @@ TEST(Reliable, RetriesStopWhenOwnerDies) {
   // the transmission count froze instead of running out the budget.
   EXPECT_LT(sender->sender->sent(), 5u);
   EXPECT_EQ(sender->sender->abandoned(), 0u);
+}
+
+// --- message-args capacity: the largest frame in the tree fits inline ---
+
+TEST(MessageCapacity, CfViolationFrameRoundTripsBitExact) {
+  Scheduler scheduler;
+  Node node(scheduler);
+  auto sender = std::make_shared<ReliablePeer>();
+  auto receiver = std::make_shared<ReliablePeer>();
+  auto wire = std::make_shared<Probe>();
+  const auto sender_pid = node.spawn("sender", sender);
+  const auto receiver_pid = node.spawn("receiver", receiver);
+  const auto wire_pid = node.spawn("wire", wire);
+  sender->start_sender(receiver_pid, 3);
+
+  // Every word at or near its type's extreme, so a narrowed or dropped
+  // word shows.
+  audit::CfViolation v;
+  v.client = 0xFFFFFFFEu;
+  v.thread = 0x89ABCDEFu;
+  v.from_pc = 0xFFFFFFFFu;
+  v.to_pc = 0x80000001u;
+  v.time = 0xFEDCBA9876543210ull;
+  v.source = audit::CfSource::Attestation;
+  Message inner = audit::msg::make_cf_violation(v);
+  inner.from = sender_pid;
+  ASSERT_EQ(inner.args.size(), 6u);
+
+  scheduler.schedule_after(0, [&]() {
+    sender->sender->send(inner);
+    sender->sender->send_to(wire_pid, inner);  // the raw frame, for inspection
+  });
+  // Short of the first retry: the wire never acks its copy.
+  scheduler.run_until(100 * kMillisecond);
+
+  ASSERT_EQ(wire->received.size(), 1u);
+  const Message& frame = wire->received[0];
+  EXPECT_EQ(frame.type, kReliableData);
+  ASSERT_EQ(frame.args.size(), MessageArgs::kCapacity);  // 4 framing + 6 words
+  EXPECT_EQ(frame.args[0], 3u);
+  EXPECT_EQ(frame.args[2], inner.type);
+  EXPECT_EQ(frame.args[3], sender_pid);
+  EXPECT_TRUE(std::equal(inner.args.begin(), inner.args.end(), frame.args.begin() + 4));
+
+  ASSERT_EQ(receiver->delivered.size(), 1u);
+  const Message& got = receiver->delivered[0];
+  EXPECT_EQ(got.type, inner.type);
+  EXPECT_EQ(got.from, sender_pid);
+  EXPECT_EQ(got.args, inner.args);
+  const audit::CfViolation back = audit::msg::view_cf_violation(got);
+  EXPECT_EQ(back.client, v.client);
+  EXPECT_EQ(back.thread, v.thread);
+  EXPECT_EQ(back.from_pc, v.from_pc);
+  EXPECT_EQ(back.to_pc, v.to_pc);
+  EXPECT_EQ(back.time, v.time);
+  EXPECT_EQ(back.source, v.source);
+  EXPECT_EQ(sender->sender->acked(), 1u);
+}
+
+TEST(MessageCapacity, GrowingPastCapacityThrowsAndNeverTruncates) {
+  MessageArgs args{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const MessageArgs full = args;
+  EXPECT_THROW(args.push_back(11), std::length_error);
+  const std::array<std::uint64_t, 2> two{11, 12};
+  EXPECT_THROW(args.append(two.begin(), two.end()), std::length_error);
+  EXPECT_EQ(args, full);  // unchanged, not cut
+  const std::vector<std::uint64_t> eleven(11, 7);
+  EXPECT_THROW(args.assign(eleven.begin(), eleven.end()), std::length_error);
+  EXPECT_EQ(args, full);
+  EXPECT_THROW((MessageArgs{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}), std::length_error);
+
+  // A 7-word payload cannot be framed: send() refuses it before anything
+  // is queued or transmitted.
+  Scheduler scheduler;
+  Node node(scheduler);
+  auto sender = std::make_shared<ReliablePeer>();
+  auto receiver = std::make_shared<ReliablePeer>();
+  const auto sender_pid = node.spawn("sender", sender);
+  sender->start_sender(node.spawn("receiver", receiver), 1);
+  scheduler.run();
+  const Message seven = typed(sender_pid, 5, {1, 2, 3, 4, 5, 6, 7});
+  EXPECT_THROW(sender->sender->send(seven), std::length_error);
+  EXPECT_EQ(sender->sender->in_flight(), 0u);
+  EXPECT_EQ(sender->sender->sent(), 0u);
+  EXPECT_EQ(node.totals().sent, 0u);
+  EXPECT_TRUE(scheduler.empty());
+}
+
+TEST(MessageCapacity, IpcCorpusReplaysWithPinnedAccounting) {
+  // Per input: ipc sent/delivered/dropped/duplicated/dead letters, reliable
+  // sent/acked/retries/abandoned/accepted/duplicates dropped/malformed,
+  // events fired/cancelled and tombstones purged — as the vector-args
+  // kernel counted them.
+  using C = obs::Counter;
+  constexpr std::array kCounters{
+      C::ipc_sent,          C::ipc_delivered,       C::ipc_dropped,
+      C::ipc_duplicated,    C::ipc_dead_letters,    C::reliable_sent,
+      C::reliable_acked,    C::reliable_retries,    C::reliable_abandoned,
+      C::reliable_accepted, C::reliable_duplicates_dropped,
+      C::reliable_malformed, C::sched_events_fired, C::sched_events_cancelled,
+      C::sched_tombstones_purged};
+  using Row = std::array<std::uint64_t, kCounters.size()>;
+  const std::filesystem::path corpus = WTC_FUZZ_CORPUS_DIR;
+  const std::vector<std::pair<std::filesystem::path, Row>> expected{
+      {corpus / "ipc_frame" / "seed-basic", {6, 6, 0, 0, 0, 2, 2, 0, 0, 3, 1, 1, 8, 2, 2}},
+      {corpus / "ipc_frame" / "seed-reorder", {7, 7, 0, 0, 0, 2, 2, 0, 0, 5, 0, 1, 9, 2, 2}},
+      {corpus / "regressions" / "ipc_frame" / "fix-truncated-frame",
+       {4, 4, 0, 0, 0, 2, 2, 0, 0, 2, 0, 1, 6, 2, 2}},
+  };
+  for (const auto& [path, want] : expected) {
+    SCOPED_TRACE(path.string());
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    obs::Recorder recorder;
+    {
+      obs::ScopedRecorder scoped(recorder);
+      EXPECT_EQ(fuzz::fuzz_ipc_frame(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                                     bytes.size()),
+                0);
+    }
+    Row got{};
+    for (std::size_t i = 0; i < kCounters.size(); ++i) {
+      got[i] = recorder.snapshot().counter(kCounters[i]);
+    }
+    EXPECT_EQ(got, want);
+  }
 }
 
 }  // namespace

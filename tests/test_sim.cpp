@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/cpu.hpp"
@@ -376,6 +379,167 @@ TEST(Node, ProcessKilledInItsOwnOnMessageLivesUntilTheCallbackReturns) {
   EXPECT_EQ(node.alive_count(), 0u);
 }
 
+/// Logs its lifecycle into a shared journal; kills itself from a timer or
+/// from on_message, then notes that its callback is returning.
+class JournalingSelfKiller : public Process {
+ public:
+  explicit JournalingSelfKiller(std::vector<std::string>& journal)
+      : journal_(journal) {}
+  ~JournalingSelfKiller() override { journal_.push_back("destroyed"); }
+
+  void on_start() override {
+    if (kill_in_timer) {
+      schedule_after(10, [this]() { kill_self("timer"); });
+    }
+  }
+  void on_message(const Message&) override { kill_self("message"); }
+  void on_stopped() override { journal_.push_back("stopped"); }
+
+  bool kill_in_timer = false;
+
+ private:
+  void kill_self(const char* from) {
+    journal_.push_back(std::string("kill from ") + from);
+    EXPECT_TRUE(node().kill(pid()));
+    EXPECT_FALSE(node().kill(pid()));  // already dead: no second on_stopped
+    journal_.push_back("callback returns");
+  }
+
+  std::vector<std::string>& journal_;
+};
+
+/// Runs a self-killing process whose last reference the node holds, with a
+/// plain event queued right behind the kill, and returns the journal.
+std::vector<std::string> self_kill_journal(bool in_timer) {
+  std::vector<std::string> journal;  // declared first: outlives the node
+  Scheduler sched;
+  Node node(sched);
+  ProcessId pid = kNoProcess;
+  {
+    auto p = std::make_shared<JournalingSelfKiller>(journal);
+    p->kill_in_timer = in_timer;
+    pid = node.spawn("k", p);
+  }
+  if (!in_timer) {
+    node.send(pid, Message{.from = 0, .type = 1, .args = {}});
+  }
+  sched.run_until(0);  // on_start arms the timer
+  const Time kill_at = in_timer ? 10 : Node::kDefaultIpcDelay;
+  sched.schedule_at(kill_at, [&journal]() { journal.push_back("next event"); });
+  sched.run();
+  EXPECT_EQ(node.alive_count(), 0u);
+  EXPECT_FALSE(node.alive(pid));
+  return journal;
+}
+
+TEST(Node, SelfKillReleasesTheProcessRightAfterItsTimerReturns) {
+  EXPECT_EQ(self_kill_journal(true),
+            (std::vector<std::string>{"kill from timer", "stopped",
+                                      "callback returns", "destroyed",
+                                      "next event"}));
+}
+
+TEST(Node, SelfKillReleasesTheProcessRightAfterItsOnMessageReturns) {
+  EXPECT_EQ(self_kill_journal(false),
+            (std::vector<std::string>{"kill from message", "stopped",
+                                      "callback returns", "destroyed",
+                                      "next event"}));
+}
+
+/// A process whose timers the test arms from outside.
+class ArmedProcess : public Process {
+ public:
+  void arm(Duration delay, int tag) {
+    schedule_after(delay, [this, tag]() { fired.push_back(tag); });
+  }
+  void on_start() override { fired.push_back(0); }
+  void on_message(const Message& message) override {
+    fired.push_back(static_cast<int>(message.args[0]));
+  }
+  std::vector<int> fired;
+};
+
+TEST(Node, TimerArmedBeforeKillAndRespawnStaysInert) {
+  Scheduler sched;
+  Node node(sched);
+  auto p = std::make_shared<ArmedProcess>();
+  const ProcessId first = node.spawn("p", p);
+  sched.run();  // on_start
+  p->arm(20, 1);
+  node.kill(first);
+  const ProcessId second = node.spawn("p", p);  // same object, new incarnation
+  EXPECT_NE(second, first);
+  sched.run_until(5);  // the respawn's on_start
+  p->arm(20, 2);
+  sched.run();
+  // The first life's timer never fires, even though the object is alive
+  // again; the second life's does.
+  EXPECT_EQ(p->fired, (std::vector<int>{0, 0, 2}));
+}
+
+TEST(Node, SameTimeStartTimerAndDeliveryFireInEventIdOrder) {
+  Scheduler sched;
+  Node node(sched);
+  auto a = std::make_shared<ArmedProcess>();
+  auto b = std::make_shared<ArmedProcess>();
+  const ProcessId pa = node.spawn("a", a);
+  sched.run();
+  std::vector<std::string> order;
+  // At t=100, one plain event schedules a delivery, a timer, a spawn's
+  // start and a second delivery, all for the same instant.
+  sched.schedule_at(100, [&]() {
+    node.send(pa, Message{.from = 0, .type = 1, .args = {11}}, 0);
+    a->arm(0, 12);
+    node.spawn("b", b);
+    node.send(pa, Message{.from = 0, .type = 1, .args = {13}}, 0);
+    const EventId last = sched.schedule_after(0, [&]() {
+      order.push_back("plain");
+      EXPECT_EQ(a->fired, (std::vector<int>{0, 11, 12, 13}));
+      EXPECT_EQ(b->fired, (std::vector<int>{0}));
+    });
+    EXPECT_EQ(sched.pending_events(), 5u);
+    EXPECT_GT(last, 0u);
+  });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"plain"}));
+  EXPECT_EQ(sched.now(), 100u);
+}
+
+TEST(Scheduler, CancelReturnsFalseForFiredCancelledAndUnknownIds) {
+  Scheduler sched;
+  const EventId fired = sched.schedule_at(1, []() {});
+  const EventId cancelled = sched.schedule_at(2, []() {});
+  const EventId live = sched.schedule_at(3, []() {});
+  EventId running = 0;
+  bool cancel_running = true;
+  running = sched.schedule_at(1, [&]() { cancel_running = sched.cancel(running); });
+  ASSERT_TRUE(sched.cancel(cancelled));
+  ASSERT_TRUE(sched.step());  // fires `fired`
+  ASSERT_TRUE(sched.step());  // fires `running`, which tries to cancel itself
+  EXPECT_FALSE(cancel_running);
+  EXPECT_FALSE(sched.cancel(fired));
+  EXPECT_FALSE(sched.cancel(cancelled));
+  EXPECT_FALSE(sched.cancel(0));      // never issued
+  EXPECT_FALSE(sched.cancel(99999));  // not issued yet
+  EXPECT_TRUE(sched.cancel(live));
+  sched.run();
+  EXPECT_EQ(sched.events_fired(), 2u);
+}
+
+TEST(Scheduler, OversizedCallablesStillFireAndRelease) {
+  Scheduler sched;
+  auto token = std::make_shared<int>(0);
+  std::array<std::uint64_t, 32> payload{};  // beyond the inline capacity
+  payload[31] = 7;
+  std::uint64_t seen = 0;
+  static_assert(!Scheduler::kStoredInline<decltype([payload, token]() {})>);
+  sched.schedule_at(5, [payload, token, &seen]() { seen = payload[31]; });
+  EXPECT_EQ(token.use_count(), 2);
+  sched.run();
+  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(Node, DuplicatedAndOriginalDeliveriesCarryTheSameArgs) {
   Scheduler sched;
   Node node(sched);
@@ -388,7 +552,7 @@ TEST(Node, DuplicatedAndOriginalDeliveriesCarryTheSameArgs) {
   sched.run();
   ASSERT_EQ(a->received.size(), 2u);
   for (const Message& m : a->received) {
-    EXPECT_EQ(m.args, (std::vector<std::uint64_t>{7, 8, 9}));
+    EXPECT_EQ(m.args, (MessageArgs{7, 8, 9}));
   }
   const LinkCounters link = node.link_counters(0, pa);
   EXPECT_EQ(link.sent, 1u);

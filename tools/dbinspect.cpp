@@ -59,7 +59,10 @@ TableScan scan_table(std::span<const std::byte> region,
     scan.free_records += header.status == db::kStatusFree ? 1 : 0;
     scan.bad_status += (faults & db::kFaultStatus) != 0 ? 1 : 0;
     scan.bad_id += (faults & db::kFaultIdTag) != 0 ? 1 : 0;
-    scan.bad_group += (faults & db::kFaultGroupRange) != 0 ? 1 : 0;
+    // A group out of range, or one that disagrees with the status (a free
+    // dynamic record off the free list): either way the group word is bad.
+    scan.bad_group +=
+        (faults & (db::kFaultGroupRange | db::kFaultStatusGroup)) != 0 ? 1 : 0;
     scan.bad_links += (faults & db::kFaultLink) != 0 ? 1 : 0;
   }
   return scan;
