@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "db/controller_schema.hpp"
 #include "vm/program.hpp"
@@ -45,6 +46,11 @@ inline void require(bool ok, const char* invariant) {
 /// inter-function padding. Built from the controller ids of a database
 /// created with harness_schema_params().
 [[nodiscard]] vm::Program harness_program(const db::ControllerIds& ids);
+
+/// Writes a minivm input's (index, word) overlay groups into `text` (the
+/// input grammar is in harness_minivm.cpp); returns how many it applied.
+std::size_t overlay_minivm_text(std::vector<std::uint64_t>& text,
+                                const std::uint8_t* data, std::size_t size);
 
 // --- harness entry points (LLVMFuzzerTestOneInput-shaped) ---
 

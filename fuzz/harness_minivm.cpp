@@ -91,6 +91,21 @@ vm::Program harness_program(const db::ControllerIds& ids) {
   return std::move(b).build();
 }
 
+std::size_t overlay_minivm_text(std::vector<std::uint64_t>& text,
+                                const std::uint8_t* data, std::size_t size) {
+  std::size_t mutations = 0;
+  for (std::size_t i = 1; i + 9 <= size && mutations < 16; i += 9) {
+    const std::size_t at = data[i] % text.size();
+    std::uint64_t word = 0;
+    for (unsigned b = 0; b < 8; ++b) {
+      word |= static_cast<std::uint64_t>(data[i + 1 + b]) << (8 * b);
+    }
+    text[at] = word;
+    ++mutations;
+  }
+  return mutations;
+}
+
 int fuzz_minivm(const std::uint8_t* data, std::size_t size) {
   sim::Scheduler scheduler;
   sim::Node node(scheduler);
@@ -145,18 +160,11 @@ int fuzz_minivm(const std::uint8_t* data, std::size_t size) {
   process.spawn_thread(0);
 
   auto& text = process.live_text();
-  std::size_t mutations = 0;
-  for (std::size_t i = 1; i + 9 <= size && mutations < 16; i += 9) {
-    const std::size_t at = data[i] % text.size();
-    std::uint64_t word = 0;
-    for (unsigned b = 0; b < 8; ++b) {
-      word |= static_cast<std::uint64_t>(data[i + 1 + b]) << (8 * b);
-    }
-    text[at] = word;
-    const vm::Instr instr = vm::decode(word);
-    require(vm::encode(instr) == word, "decode/encode roundtrip is lossless");
+  const std::size_t mutations = overlay_minivm_text(text, data, size);
+  for (const std::uint64_t word : text) {
+    require(vm::encode(vm::decode(word)) == word,
+            "decode/encode roundtrip is lossless");
     (void)vm::disassemble(word);
-    ++mutations;
   }
 
   for (int quantum = 0; quantum < 4000; ++quantum) {

@@ -16,14 +16,11 @@ CfAttestElement::CfAttestElement(
       config_(config),
       client_pid_(std::move(client_pid)),
       on_violation_(std::move(on_violation)) {
-  for (const auto& [pc, info] : plan_.cfg().cfis()) {
+  for (const vm::CfiInfo& info : plan_.cfg().cfis()) {  // sorted by site
     if (info.kind != vm::CfiKind::Branch) {
-      unconditional_sites_.push_back(pc);
+      unconditional_sites_.push_back(info.site);
     }
   }
-  std::sort(unconditional_sites_.begin(), unconditional_sites_.end());
-  return_points_sorted_ = plan_.return_points();
-  std::sort(return_points_sorted_.begin(), return_points_sorted_.end());
 }
 
 void CfAttestElement::on_start(AuditProcess& process) {
@@ -77,8 +74,8 @@ bool CfAttestElement::transition_valid(const pecos::CfTransition& entry,
     case vm::CfiKind::Jump:
     case vm::CfiKind::Branch:
     case vm::CfiKind::Call:
-      if (std::find(cfi->static_targets.begin(), cfi->static_targets.end(),
-                    entry.to_pc) == cfi->static_targets.end()) {
+      if (std::ranges::find(cfi->static_targets(), entry.to_pc) ==
+          cfi->static_targets().end()) {
         return false;
       }
       break;
@@ -91,8 +88,7 @@ bool CfAttestElement::transition_valid(const pecos::CfTransition& entry,
       }
       break;
     case vm::CfiKind::Ret:
-      if (!std::binary_search(return_points_sorted_.begin(),
-                              return_points_sorted_.end(), entry.to_pc)) {
+      if (!std::ranges::binary_search(plan_.return_points(), entry.to_pc)) {
         return false;
       }
       break;

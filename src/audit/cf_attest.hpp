@@ -90,7 +90,6 @@ class CfAttestElement final : public AuditElement {
   /// Sorted pcs of CFIs that always transfer (Jmp/Call/ICall/Ret): legit
   /// linear execution cannot cross one of these without logging it.
   std::vector<std::uint32_t> unconditional_sites_;
-  std::vector<std::uint32_t> return_points_sorted_;
   std::vector<pecos::CfTransition> scratch_;
   std::uint64_t slices_ = 0;
   std::uint64_t attested_ = 0;

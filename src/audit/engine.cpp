@@ -191,7 +191,8 @@ void AuditEngine::parallel_detect(std::size_t items, const Detect& detect) {
 }
 
 sim::Duration AuditEngine::greedy_makespan(
-    const std::vector<sim::Duration>& task_costs, std::size_t workers) {
+    const std::vector<sim::Duration>& task_costs, std::size_t workers,
+    std::vector<sim::Duration>& load) {
   // Greedy list scheduling in task order (the deterministic model of a
   // work queue): each task lands on the currently least-loaded worker.
   if (workers <= 1) {
@@ -201,7 +202,7 @@ sim::Duration AuditEngine::greedy_makespan(
     }
     return total;
   }
-  std::vector<sim::Duration> load(std::max<std::size_t>(1, workers), 0);
+  load.assign(workers, 0);
   for (const sim::Duration cost : task_costs) {
     auto* slot = &load[0];
     for (auto& worker : load) {
@@ -340,7 +341,8 @@ class AuditEngine::Installment {
   /// recovery invalidated it, adopt nothing).
   CheckResult finish(std::uint64_t* watermark) {
     engine_.scan_makespan_ =
-        greedy_makespan(task_cost_, engine_.config_.audit_threads);
+        greedy_makespan(task_cost_, engine_.config_.audit_threads,
+                        engine_.worker_load_);
     if (watermark != nullptr && !progress.truncated) {
       // Epoch watermark: writes that landed during (any installment of)
       // this scan have generations above `mark` and stay dirty for the next
@@ -1004,9 +1006,9 @@ CheckResult AuditEngine::check_record(db::TableId t, db::RecordIndex r) {
   result.cost += config_.cost_event_check;
 
   // Header check against the current group layout.
-  db::group_links(db_.region(), db_.layout().table(t), links_);
   if (db::header_faults(db::direct::read_header(db_, t, r), t, r,
-                        db_.schema().tables[t].dynamic, links_[r]) != 0) {
+                        db_.schema().tables[t].dynamic,
+                        db::group_next(db_.region(), db_.layout().table(t), r)) != 0) {
     report(header_finding(t, r));
     ++result.findings;
     db::direct::repair_header(db_, t, r);

@@ -217,11 +217,13 @@ class AuditEngine {
   void report_external(Finding finding) { report(std::move(finding)); }
 
   /// Deterministic critical path of `task_costs` greedily assigned (in
-  /// task order, to the least-loaded worker) across `workers` workers.
+  /// task order, to the least-loaded worker) across `workers` workers;
+  /// `load` is the caller's scratch for the per-worker totals.
   /// Shared by the engine's own scans and the replay audit's makespan
   /// model, so both book parallel cost under the same discipline.
   [[nodiscard]] static sim::Duration greedy_makespan(
-      const std::vector<sim::Duration>& task_costs, std::size_t workers);
+      const std::vector<sim::Duration>& task_costs, std::size_t workers,
+      std::vector<sim::Duration>& load);
 
  private:
   void report(Finding finding);
@@ -338,7 +340,7 @@ class AuditEngine {
   std::vector<StaticChunk> static_chunks_;
   // Per-scan scratch, reused so a cycle allocates nothing once the
   // buffers have grown to the largest table.
-  /// db::group_links scratch for the structural scan and the event check.
+  /// db::group_links scratch for the structural scan.
   std::vector<std::uint32_t> links_;
   /// Items a scan installment selected: static chunk indexes, or records.
   std::vector<std::size_t> selected_chunks_;
@@ -347,8 +349,10 @@ class AuditEngine {
   /// range verdicts, written by the detection phase.
   std::vector<char> verdict_flags_;
   std::vector<RangeVerdict> range_verdicts_;
-  /// Booked cost per detection task of the running installment.
+  /// Booked cost per detection task of the running installment, and the
+  /// per-worker totals greedy_makespan folds it into.
   std::vector<sim::Duration> task_cost_;
+  std::vector<sim::Duration> worker_load_;
   /// The semantic scan's per-table anchor selection, its loop walk and
   /// its orphan sweep's referenced set.
   std::vector<std::vector<char>> walk_;

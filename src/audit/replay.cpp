@@ -73,8 +73,8 @@ ReplayAuditor::ReplayAuditor(const db::Database& db, ReplayConfig config)
   }
 }
 
-void ReplayAuditor::dispatch(std::size_t workers,
-                             const std::function<void(std::size_t)>& job) {
+template <typename Job>
+void ReplayAuditor::dispatch(std::size_t workers, const Job& job) {
   if (pool_ != nullptr && workers > 1) {
     pool_->dispatch(workers, job);
   } else {
@@ -318,8 +318,9 @@ ReplayResult ReplayAuditor::run(std::span<const db::ApiEvent> events) {
   const sim::Duration compare_cost = scaled(tasks, kCostPerCompareChunk);
   stats.naive_cost = scaled(stats.total_ops, kReplayCostPerOp) + compare_cost;
   stats.dedup_cost = scaled(stats.executed_ops, kReplayCostPerOp) + compare_cost;
-  stats.makespan = AuditEngine::greedy_makespan(chain_costs, workers) +
-                   AuditEngine::greedy_makespan(compare_costs, workers);
+  std::vector<sim::Duration> load;
+  stats.makespan = AuditEngine::greedy_makespan(chain_costs, workers, load) +
+                   AuditEngine::greedy_makespan(compare_costs, workers, load);
   return result;
 }
 

@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -136,8 +135,8 @@ class ReplayAuditor {
       const Chain& chain, std::span<const db::ApiEvent> events) const;
   [[nodiscard]] RecordState execute_chain(
       const Chain& chain, std::span<const db::ApiEvent> events) const;
-  void dispatch(std::size_t workers,
-                const std::function<void(std::size_t)>& job);
+  template <typename Job>
+  void dispatch(std::size_t workers, const Job& job);
 
   const db::Database& db_;
   ReplayConfig config_;

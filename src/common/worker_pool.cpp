@@ -23,7 +23,8 @@ WorkerPool::~WorkerPool() {
 void WorkerPool::thread_main(std::size_t slot) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* job = nullptr;
+    JobFn fn = nullptr;
+    const void* context = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       start_cv_.wait(lock, [&]() { return stop_ || epoch_ != seen_epoch; });
@@ -34,13 +35,14 @@ void WorkerPool::thread_main(std::size_t slot) {
       if (slot >= participating_) {
         continue;  // this dispatch wants fewer workers than the pool has
       }
-      job = job_;
+      fn = job_fn_;
+      context = job_context_;
     }
     // Pool thread `slot` is worker index slot + 1 (index 0 is the caller).
     const std::size_t index = slot + 1;
     std::exception_ptr error;
     try {
-      (*job)(index);
+      fn(context, index);
     } catch (...) {
       error = std::current_exception();
     }
@@ -56,15 +58,15 @@ void WorkerPool::thread_main(std::size_t slot) {
   }
 }
 
-void WorkerPool::dispatch(std::size_t workers,
-                          const std::function<void(std::size_t)>& job) {
+void WorkerPool::run(std::size_t workers, JobFn fn, const void* context) {
   if (workers == 0) {
     return;
   }
   const std::size_t pooled = std::min(workers - 1, threads_.size());
   if (pooled > 0) {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &job;
+    job_fn_ = fn;
+    job_context_ = context;
     participating_ = pooled;
     remaining_ = pooled;
     errors_.assign(workers, nullptr);
@@ -78,7 +80,7 @@ void WorkerPool::dispatch(std::size_t workers,
   for (std::size_t index = 0; index < workers;
        index = (index == 0 ? pooled + 1 : index + 1)) {
     try {
-      job(index);
+      fn(context, index);
     } catch (...) {
       errors_[index] = std::current_exception();
     }
@@ -86,7 +88,8 @@ void WorkerPool::dispatch(std::size_t workers,
   if (pooled > 0) {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [&]() { return remaining_ == 0; });
-    job_ = nullptr;
+    job_fn_ = nullptr;
+    job_context_ = nullptr;
   }
   for (auto& error : errors_) {
     if (error) {

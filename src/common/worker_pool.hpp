@@ -20,7 +20,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -38,18 +37,32 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Runs `job(i)` for every i in [0, workers); blocks until all return.
-  void dispatch(std::size_t workers, const std::function<void(std::size_t)>& job);
+  /// The pool holds `job` by address only, so a dispatch never copies or
+  /// allocates for it.
+  template <typename Job>
+  void dispatch(std::size_t workers, const Job& job) {
+    run(workers, &invoke<Job>, &job);
+  }
 
   [[nodiscard]] std::size_t threads() const noexcept { return threads_.size(); }
 
  private:
+  /// A job as a plain function pointer over an opaque context.
+  using JobFn = void (*)(const void* context, std::size_t index);
+  template <typename Job>
+  static void invoke(const void* context, std::size_t index) {
+    (*static_cast<const Job*>(context))(index);
+  }
+
+  void run(std::size_t workers, JobFn fn, const void* context);
   void thread_main(std::size_t slot);
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
+  JobFn job_fn_ = nullptr;
+  const void* job_context_ = nullptr;
   std::uint64_t epoch_ = 0;       ///< bumped per dispatch; wakes sleepers
   std::size_t participating_ = 0;  ///< pool threads active this epoch
   std::size_t remaining_ = 0;      ///< pool threads not yet finished

@@ -46,14 +46,23 @@ void store_record_header(std::span<std::byte> region, std::size_t offset,
   store_u32(region, offset + 12, header.next);
 }
 
+namespace {
+
+std::uint32_t group_word(std::span<const std::byte> region, const TableLayout& table,
+                         RecordIndex r) noexcept {
+  return load_u32(region,
+                  table.offset + static_cast<std::size_t>(r) * table.record_size + 8);
+}
+
+}  // namespace
+
 void group_links(std::span<const std::byte> region, const TableLayout& table,
                  std::vector<std::uint32_t>& next) {
   next.assign(table.num_records, kNilLink);
   std::array<std::uint32_t, kMaxGroups> last_in_group;
   last_in_group.fill(kNilLink);
   for (RecordIndex r = 0; r < table.num_records; ++r) {
-    const std::uint32_t group = load_u32(
-        region, table.offset + static_cast<std::size_t>(r) * table.record_size + 8);
+    const std::uint32_t group = group_word(region, table, r);
     if (group < kMaxGroups) {
       if (last_in_group[group] != kNilLink) {
         next[last_in_group[group]] = r;
@@ -61,6 +70,20 @@ void group_links(std::span<const std::byte> region, const TableLayout& table,
       last_in_group[group] = r;
     }
   }
+}
+
+std::uint32_t group_next(std::span<const std::byte> region, const TableLayout& table,
+                         RecordIndex r) noexcept {
+  const std::uint32_t group = group_word(region, table, r);
+  if (group >= kMaxGroups) {
+    return kNilLink;
+  }
+  for (RecordIndex n = r + 1; n < table.num_records; ++n) {
+    if (group_word(region, table, n) == group) {
+      return n;
+    }
+  }
+  return kNilLink;
 }
 
 std::uint32_t header_faults(const RecordHeader& header, TableId t, RecordIndex r,

@@ -90,7 +90,7 @@ struct TableLayout {
 // Every record header carries its position-derived id tag, a Free/Active
 // status, an in-range group that agrees with that status (in a dynamic
 // table a Free record lives on the free list, group 0, and an Active one
-// does not), and the index of the next record of its group. These two
+// does not), and the index of the next record of its group. These
 // functions are its one definition: the structural audit, the event
 // check, the relink paths, the image loader and dbinspect all use them.
 
@@ -100,6 +100,13 @@ struct TableLayout {
 /// pure function of the group words.
 void group_links(std::span<const std::byte> region, const TableLayout& table,
                  std::vector<std::uint32_t>& next);
+
+/// group_links's entry for record `r` (< table.num_records) alone: a walk
+/// forward from `r` to the next record of its group, so it costs the
+/// distance to that record instead of a pass over the table.
+[[nodiscard]] std::uint32_t group_next(std::span<const std::byte> region,
+                                       const TableLayout& table,
+                                       RecordIndex r) noexcept;
 
 /// One bit per violated clause of the invariant, in check order; the
 /// lowest set bit is the first fault.

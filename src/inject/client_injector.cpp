@@ -28,14 +28,8 @@ ClientErrorInjector::ClientErrorInjector(vm::VmProcess& process,
 
 std::uint32_t ClientErrorInjector::pick_target() {
   if (config_.target == InjectTarget::DirectedCFI) {
-    std::vector<std::uint32_t> sites;
-    sites.reserve(cfg_.cfis().size());
-    for (const auto& [pc, info] : cfg_.cfis()) {
-      (void)info;
-      sites.push_back(pc);
-    }
-    std::sort(sites.begin(), sites.end());  // determinism across map orders
-    return sites[rng_.uniform(sites.size())];
+    const std::vector<vm::CfiInfo>& sites = cfg_.cfis();  // sorted by site
+    return sites[rng_.uniform(sites.size())].site;
   }
   return static_cast<std::uint32_t>(rng_.uniform(process_.pristine().size()));
 }

@@ -7,6 +7,7 @@
 #   -DOUTPUT=<file>             optional: a JSON file the run writes (its
 #   -DOUTPUT_GOLDEN=<file>      --json or --metrics report), compared with
 #                               OUTPUT_GOLDEN after it parses as JSON
+#   -DERR_GOLDEN=<file>         optional: expected stderr
 #   -DDROP=<regex>              optional: every match is removed from both
 #                               sides of both compares first. Only
 #                               wall-clock values and host facts are
@@ -58,6 +59,9 @@ function(expect_same text golden_file)
 endfunction()
 
 expect_same("${actual}" "${GOLDEN}")
+if(DEFINED ERR_GOLDEN)
+  expect_same("${stderr_text}" "${ERR_GOLDEN}")
+endif()
 if(DEFINED OUTPUT)
   file(READ "${OUTPUT}" output_text)
   string(JSON ignored ERROR_VARIABLE json_error TYPE "${output_text}")

@@ -6,7 +6,8 @@
 // inline in reused slots, messages carry their args inline, and the audit
 // engine reuses its per-scan buffers. This executable replaces the global
 // operator new with a counting one and checks that a 2000-s run allocates
-// no more often than a 200-s run, with injections off and on.
+// no more often than a 200-s run, with injections off and on, and with
+// four audit threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,11 +76,17 @@ namespace {
 
 #ifndef WTC_SANITIZER_OWNS_NEW
 /// Allocations made by one default Table-2 audit-arm run of `seconds`.
-std::uint64_t run_allocations(int seconds, bool injections) {
+std::uint64_t run_allocations(int seconds, bool injections, std::size_t audit_threads) {
   auto params = bench::table2_params();
   params.duration = seconds * static_cast<sim::Duration>(sim::kSecond);
   params.audits_enabled = true;
   params.injections_enabled = injections;
+  params.audit.engine.audit_threads = audit_threads;
+  if (audit_threads > 1) {
+    // Table 2's tables hold at most 20 records: a grain of 4 splits their
+    // scans into several tasks, so the worker pool runs them.
+    params.audit.engine.parallel_grain = 4;
+  }
   allocations.store(0);
   counting.store(true);
   const auto result = experiments::run_audit_experiment(params);
@@ -89,18 +96,20 @@ std::uint64_t run_allocations(int seconds, bool injections) {
 }
 #endif
 
-void expect_steady_state(bool injections) {
+void expect_steady_state(bool injections, std::size_t audit_threads = 1) {
 #ifdef WTC_SANITIZER_OWNS_NEW
   (void)injections;
+  (void)audit_threads;
   GTEST_SKIP() << "the sanitizer runtime supplies operator new, so a "
                   "replacement counter would bypass its checks";
 #else
   // Warm-up: one-time statics (per-thread scratch, logging) are paid here.
-  (void)run_allocations(200, injections);
-  const std::uint64_t short_run = run_allocations(200, injections);
-  const std::uint64_t long_run = run_allocations(2000, injections);
-  std::printf("injections %s: %llu allocations in 200 s, %llu in 2000 s\n",
-              injections ? "on" : "off",
+  (void)run_allocations(200, injections, audit_threads);
+  const std::uint64_t short_run = run_allocations(200, injections, audit_threads);
+  const std::uint64_t long_run = run_allocations(2000, injections, audit_threads);
+  std::printf("injections %s, %zu audit thread(s): %llu allocations in 200 s, "
+              "%llu in 2000 s\n",
+              injections ? "on" : "off", audit_threads,
               static_cast<unsigned long long>(short_run),
               static_cast<unsigned long long>(long_run));
   EXPECT_GT(short_run, 0u);  // the counter sees the run's setup
@@ -116,6 +125,12 @@ TEST(AllocSteadyState, LongRunAllocatesNoMoreThanShortRunWithoutInjections) {
 
 TEST(AllocSteadyState, LongRunAllocatesNoMoreThanShortRunWithInjections) {
   expect_steady_state(true);
+}
+
+// Chunk-parallel detection: the pool takes each dispatch's job by address
+// and the makespan model folds task costs into a reused buffer.
+TEST(AllocSteadyState, LongRunAllocatesNoMoreThanShortRunWithFourAuditThreads) {
+  expect_steady_state(true, 4);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "db/controller_schema.hpp"
 #include "db/database.hpp"
 #include "db/layout.hpp"
@@ -294,6 +299,100 @@ TEST(BenchSchema, ActivateAllRecords) {
                 kStatusActive);
     }
   }
+}
+
+// --- group_next: one record's group_links entry ---
+
+/// A bare table of `records` headers (only the group words matter) behind
+/// a few bytes of unrelated region, so offsets are exercised too.
+struct GroupTable {
+  explicit GroupTable(RecordIndex records) {
+    layout.offset = 12;
+    layout.record_size = kRecordHeaderSize + 8;
+    layout.num_records = records;
+    region.resize(layout.offset + layout.record_size * records);
+  }
+  void set_group(RecordIndex r, std::uint32_t group) {
+    store_u32(region, layout.offset + r * layout.record_size + 8, group);
+  }
+  /// Records whose group_next differs from their group_links entry.
+  [[nodiscard]] std::vector<RecordIndex> mismatches() const {
+    std::vector<std::uint32_t> links;
+    group_links(region, layout, links);
+    std::vector<RecordIndex> bad;
+    for (RecordIndex r = 0; r < layout.num_records; ++r) {
+      if (group_next(region, layout, r) != links[r]) {
+        bad.push_back(r);
+      }
+    }
+    return bad;
+  }
+
+  TableLayout layout;
+  std::vector<std::byte> region;
+};
+
+TEST(GroupNext, EqualsGroupLinksOnFuzzedGroupWords) {
+  common::Rng rng(0x6E7);
+  for (int round = 0; round < 400; ++round) {
+    const auto records = static_cast<RecordIndex>(1 + rng.uniform(48));
+    // Few distinct groups so chains are long, some out of range (kMaxGroups
+    // and above, up to kNilLink) so those records are unlinked.
+    const auto groups = static_cast<std::uint32_t>(1 + rng.uniform(kMaxGroups));
+    GroupTable table(records);
+    for (RecordIndex r = 0; r < records; ++r) {
+      const std::uint64_t pick = rng.uniform(16);
+      std::uint32_t group = static_cast<std::uint32_t>(rng.uniform(groups));
+      if (pick == 0) {
+        group = kMaxGroups + static_cast<std::uint32_t>(rng.uniform(4));
+      } else if (pick == 1) {
+        group = kNilLink;
+      }
+      table.set_group(r, group);
+    }
+    EXPECT_TRUE(table.mismatches().empty()) << "round " << round;
+  }
+}
+
+TEST(GroupNext, EdgeShapes) {
+  // A 2-member group spanning the whole table: first -> last, last -> nil,
+  // every other record in another group, and most groups empty.
+  GroupTable span(10);
+  for (RecordIndex r = 0; r < 10; ++r) {
+    span.set_group(r, 3);
+  }
+  span.set_group(0, 7);
+  span.set_group(9, 7);
+  EXPECT_EQ(group_next(span.region, span.layout, 0), 9u);
+  EXPECT_EQ(group_next(span.region, span.layout, 9), kNilLink);
+  EXPECT_EQ(group_next(span.region, span.layout, 1), 2u);
+  EXPECT_EQ(group_next(span.region, span.layout, 8), kNilLink);
+  EXPECT_TRUE(span.mismatches().empty());
+
+  // Out-of-range groups are unlinked and do not break the chain they sit
+  // in the middle of.
+  GroupTable gaps(5);
+  gaps.set_group(0, 1);
+  gaps.set_group(1, kMaxGroups);
+  gaps.set_group(2, kNilLink);
+  gaps.set_group(3, 1);
+  gaps.set_group(4, kMaxGroups);
+  EXPECT_EQ(group_next(gaps.region, gaps.layout, 0), 3u);
+  EXPECT_EQ(group_next(gaps.region, gaps.layout, 1), kNilLink);
+  EXPECT_EQ(group_next(gaps.region, gaps.layout, 2), kNilLink);
+  EXPECT_EQ(group_next(gaps.region, gaps.layout, 4), kNilLink);
+  EXPECT_TRUE(gaps.mismatches().empty());
+
+  // One record, and every record in the last group.
+  GroupTable single(1);
+  single.set_group(0, kMaxGroups - 1);
+  EXPECT_EQ(group_next(single.region, single.layout, 0), kNilLink);
+  GroupTable last(4);
+  for (RecordIndex r = 0; r < 4; ++r) {
+    last.set_group(r, kMaxGroups - 1);
+  }
+  EXPECT_EQ(group_next(last.region, last.layout, 2), 3u);
+  EXPECT_TRUE(last.mismatches().empty());
 }
 
 }  // namespace

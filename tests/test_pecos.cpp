@@ -11,15 +11,16 @@ namespace wtc::pecos {
 namespace {
 
 TEST(Figure7, ValidTargetsPassInvalidFault) {
+  using Targets = std::vector<std::uint32_t>;
   // Two-target branch case from the paper's Figure 7.
-  EXPECT_TRUE(figure7_valid(10, {10, 20}));
-  EXPECT_TRUE(figure7_valid(20, {10, 20}));
-  EXPECT_FALSE(figure7_valid(15, {10, 20}));
+  EXPECT_TRUE(figure7_valid(10, Targets{10, 20}));
+  EXPECT_TRUE(figure7_valid(20, Targets{10, 20}));
+  EXPECT_FALSE(figure7_valid(15, Targets{10, 20}));
   // One target (jump) and many targets (return).
-  EXPECT_TRUE(figure7_valid(7, {7}));
-  EXPECT_FALSE(figure7_valid(8, {7}));
-  EXPECT_TRUE(figure7_valid(5, {1, 2, 3, 4, 5, 6}));
-  EXPECT_FALSE(figure7_valid(0, {1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(figure7_valid(7, Targets{7}));
+  EXPECT_FALSE(figure7_valid(8, Targets{7}));
+  EXPECT_TRUE(figure7_valid(5, Targets{1, 2, 3, 4, 5, 6}));
+  EXPECT_FALSE(figure7_valid(0, Targets{1, 2, 3, 4, 5, 6}));
   EXPECT_FALSE(figure7_valid(0, {}));
 }
 
@@ -53,7 +54,9 @@ TEST(Plan, InstrumentsEveryCfi) {
   const Assertion* ret = plan.assertion_at(10);
   ASSERT_NE(ret, nullptr);
   // Valid return points: after the call (5) and after the icall (8).
-  EXPECT_EQ(ret->valid_targets, (std::vector<std::uint32_t>{5, 8}));
+  EXPECT_EQ(std::vector<std::uint32_t>(ret->valid_targets.begin(),
+                                       ret->valid_targets.end()),
+            (std::vector<std::uint32_t>{5, 8}));
 
   const Assertion* icall = plan.assertion_at(7);
   ASSERT_NE(icall, nullptr);

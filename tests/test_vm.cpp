@@ -399,7 +399,9 @@ TEST(Cfg, FindsLeadersAndCfiKinds) {
   const CfiInfo* branch = cfg.cfi_at(1);
   ASSERT_NE(branch, nullptr);
   EXPECT_EQ(branch->kind, CfiKind::Branch);
-  EXPECT_EQ(branch->static_targets, (std::vector<std::uint32_t>{3, 2}));
+  EXPECT_EQ(std::vector<std::uint32_t>(branch->static_targets().begin(),
+                                       branch->static_targets().end()),
+            (std::vector<std::uint32_t>{3, 2}));
   EXPECT_EQ(branch->block_leader, 0u);
 
   const CfiInfo* call = cfg.cfi_at(3);

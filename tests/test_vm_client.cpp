@@ -50,8 +50,7 @@ TEST(VmProgram, BuildsWithRichControlFlow) {
   // All CFI kinds present: branch, jump, call, icall, ret.
   bool has_branch = false, has_jump = false, has_call = false, has_icall = false,
        has_ret = false;
-  for (const auto& [pc, info] : cfg.cfis()) {
-    (void)pc;
+  for (const vm::CfiInfo& info : cfg.cfis()) {
     switch (info.kind) {
       case vm::CfiKind::Branch: has_branch = true; break;
       case vm::CfiKind::Jump: has_jump = true; break;
