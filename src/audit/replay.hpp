@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "audit/report.hpp"
@@ -113,28 +114,37 @@ class ReplayAuditor {
   /// compares the resulting shadow region against the live region.
   [[nodiscard]] ReplayResult run(std::span<const db::ApiEvent> events);
 
+  /// Groups `events` into chains and dedup classes the way run() does,
+  /// executing and comparing nothing: fills `total_ops`, `chains`,
+  /// `unique_chains` and `executed_ops` only.
+  [[nodiscard]] ReplayStats classify(std::span<const db::ApiEvent> events);
+
  private:
-  /// Replayed end state of one record (header id/next excluded: replay
-  /// never changes the id tag, and links are recomputed per table).
-  struct RecordState {
-    std::uint32_t status = 0;
-    std::uint32_t group = 0;
-    std::vector<std::int32_t> fields;
-  };
-  /// One per-(table, record) op chain, ops as indices into the event
-  /// span (kept in arrival order).
+  static constexpr std::uint32_t kNoChain = 0xFFFFFFFFu;
+  /// One per-(table, record) op chain: its ops are
+  /// `chain_ops_[chain_begin_[c] .. chain_begin_[c + 1])`.
   struct Chain {
     db::TableId table = db::kNoTable;
     db::RecordIndex record = 0;
-    std::vector<std::uint32_t> ops;
-    std::uint64_t signature = 0;
-    std::size_t unique_index = 0;  ///< into the executed unique set
+    std::uint32_t unique = 0;  ///< its dedup class, into uniques_
   };
 
+  [[nodiscard]] std::span<const std::uint32_t> ops_of(std::size_t chain) const noexcept {
+    return std::span(chain_ops_).subspan(chain_begin_[chain],
+                                         chain_begin_[chain + 1] - chain_begin_[chain]);
+  }
+  [[nodiscard]] std::size_t record_key(db::TableId t, db::RecordIndex r) const noexcept {
+    return record_base_[t] + r;
+  }
+  void group(std::span<const db::ApiEvent> events, ReplayStats& stats);
+  void dedup(std::span<const db::ApiEvent> events, ReplayStats& stats);
   [[nodiscard]] std::uint64_t chain_signature(
-      const Chain& chain, std::span<const db::ApiEvent> events) const;
-  [[nodiscard]] RecordState execute_chain(
-      const Chain& chain, std::span<const db::ApiEvent> events) const;
+      std::size_t chain, std::span<const db::ApiEvent> events) const;
+  /// Writes chain `chain`'s replayed end state into `state`: status,
+  /// group, then every field (header id/next excluded: replay never
+  /// changes the id tag, and links are recomputed per table).
+  void execute_chain(std::size_t chain, std::span<const db::ApiEvent> events,
+                     std::span<std::uint32_t> state) const;
   template <typename Job>
   void dispatch(std::size_t workers, const Job& job);
 
@@ -142,6 +152,29 @@ class ReplayAuditor {
   ReplayConfig config_;
   /// Created lazily when replay_threads > 1; reused across run() calls.
   std::unique_ptr<common::WorkerPool> pool_;
+  /// Index of each table's record 0 among all records of the layout.
+  std::vector<std::size_t> record_base_;
+
+  // The chain table, rebuilt by every run() and classify(): chains in
+  // creation order, their ops in one CSR array of event indices
+  // (arrival order within a chain), each record's current (at the end:
+  // last) chain, and one representative chain per dedup class.
+  std::vector<Chain> chains_;
+  std::vector<std::uint32_t> chain_begin_;
+  std::vector<std::uint32_t> chain_ops_;
+  std::vector<std::uint32_t> current_;
+  std::vector<std::uint32_t> uniques_;
+  std::unordered_map<std::uint64_t, std::uint32_t> unique_of_;  ///< signature -> class
+  // Counting-sort scratch: each event's chain (kNoChain when replay
+  // skips it) and each chain's fill cursor.
+  std::vector<std::uint32_t> op_chain_;
+  std::vector<std::uint32_t> cursor_;
+  /// End states of the unique chains, back to back; unique u's starts at
+  /// state_at_[u].
+  std::vector<std::uint32_t> arena_;
+  std::vector<std::size_t> state_at_;
+  /// relink scratch, one table at a time.
+  std::vector<std::uint32_t> links_;
 };
 
 }  // namespace wtc::audit

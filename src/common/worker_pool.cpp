@@ -1,5 +1,7 @@
 #include "common/worker_pool.hpp"
 
+#include <utility>
+
 namespace wtc::common {
 
 WorkerPool::WorkerPool(std::size_t threads) {
@@ -48,8 +50,10 @@ void WorkerPool::thread_main(std::size_t slot) {
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      // Hand the exception over whole: once the caller is woken it may
+      // rethrow and destroy it, so this thread must hold no reference.
       if (error) {
-        errors_[index] = error;
+        errors_[index] = std::move(error);
       }
       if (--remaining_ == 0) {
         done_cv_.notify_all();

@@ -61,25 +61,31 @@ enum class ApiOp : std::uint8_t {
 /// event-triggered audit can inspect the values without racing the client
 /// — the bulk of the modified API's overhead on write-class operations
 /// (the paper's Figure 4: DBwrite_rec pays the most).
+///
+/// Fields are laid out widest first, so the event packs into 64 bytes
+/// with no padding; every copy the op logs and the IPC notify path make
+/// moves that much less. (Nothing builds an ApiEvent by position, so the
+/// order is free to choose.)
 struct ApiEvent {
-  ApiOp op = ApiOp::Init;
-  sim::ProcessId client = sim::kNoProcess;
-  TableId table = kNoTable;
-  RecordIndex record = 0;
   sim::Time time = 0;
-  bool is_update = false;  ///< write-class op (triggers event audit)
-  /// Outcome of the call — replay consumers skip failed (no-op) updates.
-  Status status = Status::Ok;
+  sim::ProcessId client = sim::kNoProcess;
+  RecordIndex record = 0;
   /// Client thread that issued the call (set_thread_id attribution) — the
   /// per-thread op log keys on this for healing replay.
   std::uint32_t thread = 0;
   /// Alloc/Move: the target logical group of the operation.
   std::uint32_t group = 0;
+  TableId table = kNoTable;
   /// WriteFld: the written field id.
   FieldId field = 0;
-  std::array<std::int32_t, 8> payload{};
+  ApiOp op = ApiOp::Init;
+  /// Outcome of the call — replay consumers skip failed (no-op) updates.
+  Status status = Status::Ok;
+  bool is_update = false;  ///< write-class op (triggers event audit)
   std::uint8_t payload_len = 0;
+  std::array<std::int32_t, 8> payload{};
 };
+static_assert(sizeof(ApiEvent) == 64, "ApiEvent fields must pack without padding");
 
 /// Where instrumented-API notifications go. In the integrated system this
 /// is an adapter that posts to the audit process's IPC queue; benchmarks

@@ -1,17 +1,32 @@
 #include "db/run_op_log.hpp"
 
+#include <algorithm>
+
 #include "common/crc32.hpp"
 #include "obs/metrics.hpp"
 
 namespace wtc::db {
 namespace {
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
+/// The longest encoding of one event: three fixed bytes, a 10-byte time
+/// delta, four 5-byte 32-bit ids, 3-byte table and field, the payload
+/// length byte and eight 5-byte payload words.
+constexpr std::size_t kMaxEventBytes = 3 + 10 + 4 * 5 + 2 * 3 + 1 + 8 * 5;
+static_assert(kMaxEventBytes == 80);
+/// The shortest: three fixed bytes and eight one-byte varints. A log
+/// image of N bytes therefore holds fewer than N / 11 events, whatever
+/// its chunk headers claim.
+constexpr std::size_t kMinEventBytes = 3 + 8;
+/// A chunk frame: payload_len, event_count, crc32.
+constexpr std::size_t kFrameBytes = 12;
+
+std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t value) noexcept {
   while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
+    *out++ = static_cast<std::uint8_t>(value) | 0x80u;
     value >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(value));
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
 }
 
 [[nodiscard]] std::uint64_t zigzag(std::int64_t value) noexcept {
@@ -27,6 +42,10 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
 /// Bounds-checked varint read; false on truncation or a >10-byte runaway.
 bool get_varint(std::span<const std::uint8_t> bytes, std::size_t& at,
                 std::uint64_t& out) {
+  if (at < bytes.size() && bytes[at] < 0x80u) {
+    out = bytes[at++];  // most fields of a real log fit in one byte
+    return true;
+  }
   out = 0;
   for (unsigned shift = 0; shift < 64; shift += 7) {
     if (at >= bytes.size()) {
@@ -49,15 +68,84 @@ bool get_varint(std::span<const std::uint8_t> bytes, std::size_t& at,
          static_cast<std::uint32_t>(bytes[at + 3]) << 24;
 }
 
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
+void store_le32(std::uint8_t* out, std::uint32_t value) noexcept {
+  out[0] = static_cast<std::uint8_t>(value);
+  out[1] = static_cast<std::uint8_t>(value >> 8);
+  out[2] = static_cast<std::uint8_t>(value >> 16);
+  out[3] = static_cast<std::uint8_t>(value >> 24);
 }
 
 [[nodiscard]] std::uint32_t payload_crc(std::span<const std::uint8_t> payload) {
   return common::crc32(std::as_bytes(std::span(payload)));
+}
+
+/// Appends the encoding of `event` at `out`, which has room for
+/// kMaxEventBytes; returns one past the last byte written.
+std::uint8_t* encode_event(std::uint8_t* out, const ApiEvent& event,
+                           sim::Time& last_time) noexcept {
+  *out++ = static_cast<std::uint8_t>(event.op);
+  *out++ = static_cast<std::uint8_t>(event.status);
+  *out++ = event.is_update ? 1u : 0u;
+  // Unsigned subtraction: the delta wraps instead of overflowing, and
+  // the decoder's unsigned add undoes it.
+  out = put_varint(out, zigzag(static_cast<std::int64_t>(event.time - last_time)));
+  last_time = event.time;
+  out = put_varint(out, event.client);
+  out = put_varint(out, event.thread);
+  out = put_varint(out, event.table);
+  out = put_varint(out, event.record);
+  out = put_varint(out, event.group);
+  out = put_varint(out, event.field);
+  const std::uint8_t n = static_cast<std::uint8_t>(
+      std::min<std::size_t>(event.payload_len, event.payload.size()));
+  *out++ = n;
+  for (std::uint8_t f = 0; f < n; ++f) {
+    out = put_varint(out, zigzag(event.payload[f]));
+  }
+  return out;
+}
+
+/// Fills in the chunk frame at `frame`, whose payload runs from behind it
+/// to the end of `out`, with the payload's length, `events` and its CRC.
+void seal_chunk(std::vector<std::uint8_t>& out, std::size_t frame, std::uint32_t events) {
+  const std::size_t payload = frame + kFrameBytes;
+  store_le32(out.data() + frame, static_cast<std::uint32_t>(out.size() - payload));
+  store_le32(out.data() + frame + 4, events);
+  store_le32(out.data() + frame + 8, payload_crc(std::span(out).subspan(payload)));
+}
+
+/// Encodes `events` as one chunk appended to `out`: room for the frame
+/// and the longest possible payload, the payload encoded in place, then
+/// the sealed frame.
+void append_chunk(std::vector<std::uint8_t>& out, std::span<const ApiEvent> events,
+                  sim::Time& last_time) {
+  const std::size_t frame = out.size();
+  out.resize(frame + kFrameBytes + events.size() * kMaxEventBytes);
+  std::uint8_t* end = out.data() + frame + kFrameBytes;
+  for (const ApiEvent& event : events) {
+    end = encode_event(end, event, last_time);
+  }
+  out.resize(static_cast<std::size_t>(end - out.data()));
+  seal_chunk(out, frame, static_cast<std::uint32_t>(events.size()));
+}
+
+/// How many events the chunks of a log image can hold: each chunk's
+/// claimed count, capped by what its payload length leaves room for. The
+/// walk stops at the first chunk that runs past the image, which the
+/// decoder rejects before decoding an event of it.
+[[nodiscard]] std::size_t event_bound(std::span<const std::uint8_t> bytes) noexcept {
+  std::size_t bound = 0;
+  for (std::size_t at = 8; bytes.size() - at >= kFrameBytes;) {
+    const std::uint32_t payload_len = load_le32(bytes, at);
+    const std::uint32_t event_count = load_le32(bytes, at + 4);
+    at += kFrameBytes;
+    if (bytes.size() - at < payload_len) {
+      break;
+    }
+    bound += std::min<std::size_t>(event_count, payload_len / kMinEventBytes);
+    at += payload_len;
+  }
+  return bound;
 }
 
 /// Decodes one event; false (with `error` set) on truncation/invalidity.
@@ -92,7 +180,6 @@ bool decode_event(std::span<const std::uint8_t> bytes, std::size_t& at,
     return false;
   }
   const std::int64_t delta = unzigzag(dt);
-  event = ApiEvent{};
   event.op = static_cast<ApiOp>(op);
   event.status = static_cast<Status>(status);
   event.is_update = (flags & 1u) != 0;
@@ -137,24 +224,10 @@ std::string_view to_string(OpLogError error) noexcept {
 
 void encode_op_log_event(std::vector<std::uint8_t>& out, const ApiEvent& event,
                          sim::Time& last_time) {
-  out.push_back(static_cast<std::uint8_t>(event.op));
-  out.push_back(static_cast<std::uint8_t>(event.status));
-  out.push_back(event.is_update ? 1u : 0u);
-  put_varint(out, zigzag(static_cast<std::int64_t>(event.time) -
-                         static_cast<std::int64_t>(last_time)));
-  last_time = event.time;
-  put_varint(out, event.client);
-  put_varint(out, event.thread);
-  put_varint(out, event.table);
-  put_varint(out, event.record);
-  put_varint(out, event.group);
-  put_varint(out, event.field);
-  const std::uint8_t n = static_cast<std::uint8_t>(
-      std::min<std::size_t>(event.payload_len, event.payload.size()));
-  put_varint(out, n);
-  for (std::uint8_t f = 0; f < n; ++f) {
-    put_varint(out, zigzag(event.payload[f]));
-  }
+  const std::size_t at = out.size();
+  out.resize(at + kMaxEventBytes);
+  out.resize(static_cast<std::size_t>(
+      encode_event(out.data() + at, event, last_time) - out.data()));
 }
 
 OpLogReadResult decode_op_log(std::span<const std::uint8_t> bytes) {
@@ -170,9 +243,10 @@ OpLogReadResult decode_op_log(std::span<const std::uint8_t> bytes) {
     return result;
   }
   at = 8;
+  result.events.reserve(event_bound(bytes));
   sim::Time last_time = 0;
   while (at < bytes.size()) {
-    if (bytes.size() - at < 12) {
+    if (bytes.size() - at < kFrameBytes) {
       result.error = OpLogError::Truncated;
       result.error_offset = at;
       return result;
@@ -180,7 +254,7 @@ OpLogReadResult decode_op_log(std::span<const std::uint8_t> bytes) {
     const std::uint32_t payload_len = load_le32(bytes, at);
     const std::uint32_t event_count = load_le32(bytes, at + 4);
     const std::uint32_t crc = load_le32(bytes, at + 8);
-    at += 12;
+    at += kFrameBytes;
     if (bytes.size() - at < payload_len) {
       result.error = OpLogError::Truncated;
       result.error_offset = at;
@@ -194,15 +268,14 @@ OpLogReadResult decode_op_log(std::span<const std::uint8_t> bytes) {
     }
     std::size_t payload_at = 0;
     for (std::uint32_t i = 0; i < event_count; ++i) {
-      ApiEvent event;
       OpLogError error = OpLogError::None;
-      if (!decode_event(payload, payload_at, last_time, event, error)) {
+      if (!decode_event(payload, payload_at, last_time, result.events.emplace_back(),
+                        error)) {
         result.error = error;
         result.error_offset = at + payload_at;
         result.events.clear();
         return result;
       }
-      result.events.push_back(event);
     }
     if (payload_at != payload_len) {
       // Trailing bytes a CRC-valid chunk never has: a framing lie.
@@ -234,19 +307,19 @@ OpLogReadResult load_op_log(const std::string& path) {
 }
 
 OpLogWriter::OpLogWriter(const std::string& path, std::uint32_t chunk_events)
-    : chunk_events_(chunk_events == 0 ? 1 : chunk_events) {
+    : buffer_(kFrameBytes), chunk_events_(chunk_events == 0 ? 1 : chunk_events) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     failed_ = true;
     return;
   }
-  std::vector<std::uint8_t> header;
-  put_le32(header, kOpLogMagic);
-  put_le32(header, kOpLogVersion);
-  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
+  std::uint8_t header[8];
+  store_le32(header, kOpLogMagic);
+  store_le32(header + 4, kOpLogVersion);
+  if (std::fwrite(header, 1, sizeof header, file_) != sizeof header) {
     failed_ = true;
   }
-  bytes_ += header.size();
+  bytes_ += sizeof header;
 }
 
 OpLogWriter::~OpLogWriter() {
@@ -267,18 +340,13 @@ void OpLogWriter::flush_chunk() {
   if (file_ == nullptr || buffered_events_ == 0) {
     return;
   }
-  std::vector<std::uint8_t> frame;
-  put_le32(frame, static_cast<std::uint32_t>(buffer_.size()));
-  put_le32(frame, buffered_events_);
-  put_le32(frame, payload_crc(buffer_));
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size() ||
-      std::fwrite(buffer_.data(), 1, buffer_.size(), file_) != buffer_.size()) {
+  seal_chunk(buffer_, 0, buffered_events_);
+  if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) != buffer_.size()) {
     failed_ = true;
   }
-  const std::uint64_t written = frame.size() + buffer_.size();
-  bytes_ += written;
-  obs::count(obs::Counter::oplog_bytes, written);
-  buffer_.clear();
+  bytes_ += buffer_.size();
+  obs::count(obs::Counter::oplog_bytes, buffer_.size());
+  buffer_.resize(kFrameBytes);
   buffered_events_ = 0;
 }
 
@@ -326,31 +394,16 @@ bool RunOpLog::close_file() {
 }
 
 std::vector<std::uint8_t> RunOpLog::serialize() const {
-  std::vector<std::uint8_t> out;
-  put_le32(out, kOpLogMagic);
-  put_le32(out, kOpLogVersion);
-  std::vector<std::uint8_t> payload;
+  constexpr std::size_t kChunkEvents = 1024;
+  std::vector<std::uint8_t> out(8);
+  store_le32(out.data(), kOpLogMagic);
+  store_le32(out.data() + 4, kOpLogVersion);
   sim::Time last_time = 0;
-  std::uint32_t buffered = 0;
-  constexpr std::uint32_t kChunkEvents = 1024;
-  const auto flush = [&]() {
-    if (buffered == 0) {
-      return;
-    }
-    put_le32(out, static_cast<std::uint32_t>(payload.size()));
-    put_le32(out, buffered);
-    put_le32(out, payload_crc(payload));
-    out.insert(out.end(), payload.begin(), payload.end());
-    payload.clear();
-    buffered = 0;
-  };
-  for (const ApiEvent& event : events_) {
-    encode_op_log_event(payload, event, last_time);
-    if (++buffered >= kChunkEvents) {
-      flush();
-    }
+  const std::span<const ApiEvent> events(events_);
+  for (std::size_t first = 0; first < events.size(); first += kChunkEvents) {
+    append_chunk(out, events.subspan(first, std::min(kChunkEvents, events.size() - first)),
+                 last_time);
   }
-  flush();
   return out;
 }
 

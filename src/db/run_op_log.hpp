@@ -96,6 +96,8 @@ class OpLogWriter {
   void flush_chunk();
 
   std::FILE* file_ = nullptr;
+  /// The chunk being built: its 12-byte frame, sealed at flush, then
+  /// the encoded events.
   std::vector<std::uint8_t> buffer_;
   std::uint32_t buffered_events_ = 0;
   std::uint32_t chunk_events_;

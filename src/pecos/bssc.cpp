@@ -8,6 +8,8 @@ BsscPlan BsscPlan::instrument(const vm::Program& program) {
   BsscPlan plan;
   plan.cfg_ = vm::Cfg::analyze(program);
   const auto& leaders = plan.cfg_.leaders();
+  plan.blocks_.reserve(leaders.size());
+  plan.block_of_.assign(program.size(), 0);
   for (std::size_t i = 0; i < leaders.size(); ++i) {
     BlockInfo info;
     info.leader = leaders[i];
@@ -17,7 +19,10 @@ BsscPlan BsscPlan::instrument(const vm::Program& program) {
       signature = combine(signature, program.text[pc]);
     }
     info.golden_signature = signature;
-    plan.blocks_.emplace(info.leader, info);
+    plan.blocks_.push_back(info);
+    if (info.leader < program.size()) {
+      plan.block_of_[info.leader] = static_cast<std::uint32_t>(i);
+    }
   }
   return plan;
 }
@@ -32,7 +37,7 @@ void BsscMonitor::on_thread_start(std::uint32_t thread_id, std::uint32_t entry) 
 }
 
 void BsscMonitor::enter_block(ThreadState& state, std::uint32_t leader) {
-  state.block_leader = leader;
+  state.block = plan_.block_at(leader);
   state.expected_pc = leader;
   state.running = 0;
   state.in_block = true;
@@ -41,8 +46,7 @@ void BsscMonitor::enter_block(ThreadState& state, std::uint32_t leader) {
 void BsscMonitor::check_signature(ThreadState& state, std::uint32_t end_pc) {
   (void)end_pc;
   ++checks_;
-  const BsscPlan::BlockInfo* block = plan_.block_at(state.block_leader);
-  if (block != nullptr && state.running != block->golden_signature) {
+  if (state.block != nullptr && state.running != state.block->golden_signature) {
     ++violations_;
     state.pending_violation = true;  // fires on the NEXT fetch: post-hoc
   }
@@ -77,8 +81,7 @@ bool BsscMonitor::before_execute(const vm::VmThread& thread, std::uint32_t pc,
   state.running = BsscPlan::combine(state.running, word);
   state.expected_pc = pc + 1;
 
-  const BsscPlan::BlockInfo* block = plan_.block_at(state.block_leader);
-  if (block != nullptr && pc + 1 >= block->end) {
+  if (state.block != nullptr && pc + 1 >= state.block->end) {
     check_signature(state, pc + 1);
   }
   return false;

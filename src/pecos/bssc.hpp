@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "vm/cfg.hpp"
@@ -33,9 +32,14 @@ class BsscPlan {
   };
 
   /// Block info by leader pc; nullptr if `leader` does not start a block.
+  /// Indexed loads, no hashing: blocks are numbered in leader order, and
+  /// a leader pc past the text (an entry point outside the program) is
+  /// the last block.
   [[nodiscard]] const BlockInfo* block_at(std::uint32_t leader) const noexcept {
-    auto it = blocks_.find(leader);
-    return it == blocks_.end() ? nullptr : &it->second;
+    if (!cfg_.is_leader(leader)) {
+      return nullptr;
+    }
+    return leader < block_of_.size() ? &blocks_[block_of_[leader]] : &blocks_.back();
   }
   [[nodiscard]] std::size_t block_count() const noexcept { return blocks_.size(); }
   [[nodiscard]] const vm::Cfg& cfg() const noexcept { return cfg_; }
@@ -51,7 +55,8 @@ class BsscPlan {
 
  private:
   vm::Cfg cfg_;
-  std::unordered_map<std::uint32_t, BlockInfo> blocks_;
+  std::vector<BlockInfo> blocks_;        ///< by block number (leader order)
+  std::vector<std::uint32_t> block_of_;  ///< block number of each text pc
 };
 
 /// Runtime half: accumulates fetched-word signatures per thread and flags a
@@ -71,7 +76,8 @@ class BsscMonitor final : public vm::ExecMonitor {
 
  private:
   struct ThreadState {
-    std::uint32_t block_leader = 0;  ///< leader of the block being traversed
+    /// The block being traversed (nullptr when its leader starts none).
+    const BsscPlan::BlockInfo* block = nullptr;
     std::uint32_t expected_pc = 0;   ///< next pc if execution stays in-block
     std::uint64_t running = 0;       ///< signature over fetched words so far
     bool in_block = false;

@@ -3,6 +3,7 @@
 // zero-simulation workload engine's byte-identity.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -284,6 +285,68 @@ TEST(OpLogFormat, EveryDecoderErrorIsTypedWithItsOffset) {
                second_payload + 3, "error in the second chunk");
 }
 
+TEST(OpLogFormat, AChunkHeaderCountNeverSizesTheEventBuffer) {
+  // One valid event (13 bytes), framed under a CRC-valid chunk header
+  // that claims 0xFFFFFFFF events.
+  const std::vector<std::uint8_t> one = {
+      static_cast<std::uint8_t>(db::ApiOp::Alloc), 0, 1, 0, 1, 0, 2, 3, 1, 0, 2, 4, 6};
+  const std::vector<std::uint8_t> bytes = framed_log({{one, 0xFFFFFFFFu}});
+  const db::OpLogReadResult result = db::decode_op_log(bytes);
+  EXPECT_EQ(result.error, db::OpLogError::Truncated) << db::to_string(result.error);
+  EXPECT_EQ(result.error_offset, kFirstPayload + one.size());
+  EXPECT_TRUE(result.events.empty());
+  // Every encoded event takes at least 11 payload bytes, so no log of
+  // this size can hold more events than that.
+  EXPECT_LE(result.events.capacity(), (bytes.size() - 8) / 11);
+}
+
+TEST(OpLogFormat, WorstCaseEventsReEncodeByteIdentical) {
+  // Every field at its widest varint: a 10-byte time delta, 5-byte ids,
+  // 3-byte table and field, and eight 5-byte payload words.
+  db::ApiEvent widest;
+  widest.op = db::ApiOp::TxnEnd;
+  widest.status = db::Status::BadGroup;
+  widest.is_update = true;
+  widest.time = sim::Time{1} << 63;  // delta from 0 is INT64_MIN
+  widest.client = 0xFFFFFFFFu;
+  widest.thread = 0xFFFFFFFFu;
+  widest.table = 0xFFFF;
+  widest.record = 0xFFFFFFFFu;
+  widest.group = 0xFFFFFFFFu;
+  widest.field = 0xFFFF;
+  widest.payload_len = 8;
+  for (std::size_t f = 0; f < widest.payload.size(); ++f) {
+    widest.payload[f] = f % 2 == 0 ? INT32_MIN : INT32_MAX;
+  }
+  db::ApiEvent empty;  // payload_len 0, time back to 0: delta -2^63 again
+  empty.op = db::ApiOp::Free;
+  empty.record = 7;
+  db::ApiEvent narrow = widest;
+  narrow.time = 5;
+  narrow.payload_len = 1;
+  narrow.payload = {INT32_MAX};
+
+  std::vector<std::uint8_t> payload;
+  sim::Time last_time = 0;
+  db::encode_op_log_event(payload, widest, last_time);
+  EXPECT_EQ(payload.size(), 80u);  // the encoder's per-event bound
+  db::encode_op_log_event(payload, empty, last_time);
+  db::encode_op_log_event(payload, narrow, last_time);
+  db::encode_op_log_event(payload, widest, last_time);
+
+  const std::vector<std::uint8_t> bytes = framed_log({{payload, 4}});
+  const db::OpLogReadResult decoded = db::decode_op_log(bytes);
+  ASSERT_TRUE(decoded.ok()) << db::to_string(decoded.error);
+  expect_events_equal({widest, empty, narrow, widest}, decoded.events);
+
+  std::vector<std::uint8_t> again;
+  last_time = 0;
+  for (const db::ApiEvent& event : decoded.events) {
+    db::encode_op_log_event(again, event, last_time);
+  }
+  EXPECT_EQ(again, payload);
+}
+
 TEST(OpLogFormat, WritersReportAnUnopenablePath) {
   const std::string path = "no_such_dir/out.oplog";
   db::OpLogWriter writer(path);
@@ -469,6 +532,34 @@ TEST(ReplayAudit, BitIdenticalAtAnyThreadCount) {
     EXPECT_EQ(r.stats.mismatched_words, base.stats.mismatched_words);
     EXPECT_EQ(r.stats.naive_cost, base.stats.naive_cost);
     EXPECT_EQ(r.stats.dedup_cost, base.stats.dedup_cost);
+  }
+}
+
+TEST(ReplayAudit, ShippedCapturesKeepTheirDedupClasses) {
+  // Each capture replayed onto a fresh controller database, then
+  // replay-audited. A chain-signature change that merges or splits a
+  // dedup class moves `unique_chains` and `executed_ops`.
+  struct Expected {
+    const char* name;
+    std::uint64_t chains, unique_chains, executed_ops, mismatched_words;
+  };
+  for (const Expected& want : {
+           Expected{"handoff_storm", 1800, 14, 123, 0},
+           Expected{"registration_avalanche", 135, 100, 500, 0},
+           Expected{"diurnal_load", 1008, 41, 252, 0},
+       }) {
+    SCOPED_TRACE(want.name);
+    const db::OpLogReadResult log = db::load_op_log(
+        std::string(WTC_WORKLOADS_DIR) + "/" + want.name + ".oplog");
+    ASSERT_TRUE(log.ok()) << db::to_string(log.error);
+    const auto database = db::make_controller_database();
+    EXPECT_EQ(experiments::apply_op_log(*database, log.events).divergences, 0u);
+    audit::ReplayAuditor auditor(*database, audit::ReplayConfig{});
+    const audit::ReplayStats stats = auditor.run(log.events).stats;
+    EXPECT_EQ(stats.chains, want.chains);
+    EXPECT_EQ(stats.unique_chains, want.unique_chains);
+    EXPECT_EQ(stats.executed_ops, want.executed_ops);
+    EXPECT_EQ(stats.mismatched_words, want.mismatched_words);
   }
 }
 

@@ -5,9 +5,10 @@
 // consumers use (db/run_op_log.hpp), then summarizes: event and byte
 // counts, per-op / per-thread / per-table breakdowns, and the
 // chain-dedup ratio the replay audit's deduplicated re-execution will
-// see — per-(table,record) op chains hashed the record-agnostic way
-// (start-state-independent for alloc-first chains), so the ratio printed
-// here predicts the `replay.deduped / replay.chains` counters.
+// see. The chains and their dedup classes come from the replay auditor
+// itself (audit::ReplayAuditor::classify over a pristine controller
+// database, the schema every shipped capture records), so the printed
+// ratio is the `replay.deduped / replay.chains` the audit will report.
 //
 //   oplog_inspect <log>            text summary
 //   oplog_inspect --json <log>     JSON (for CI artifact diffing)
@@ -16,10 +17,11 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "audit/replay.hpp"
 #include "common/table_printer.hpp"
+#include "db/controller_schema.hpp"
 #include "db/run_op_log.hpp"
 
 using namespace wtc;
@@ -43,53 +45,6 @@ const char* op_name(db::ApiOp op) {
   return "?";
 }
 
-bool replayable(const db::ApiEvent& event) {
-  if (!event.is_update || event.status != db::Status::Ok) {
-    return false;
-  }
-  switch (event.op) {
-    case db::ApiOp::WriteRec:
-    case db::ApiOp::WriteFld:
-    case db::ApiOp::Move:
-    case db::ApiOp::Alloc:
-    case db::ApiOp::Free:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Chain signature matching audit::ReplayAuditor's record-agnostic case:
-/// table + the op sequence (op, group, field, payload). The auditor also
-/// mixes the pristine start state for chains that do not begin with
-/// DBalloc; this tool has no region, so for those chains it mixes the
-/// record index instead (start states of distinct records may still
-/// collide, so the printed ratio is a lower bound on the auditor's).
-std::uint64_t chain_signature(const std::vector<const db::ApiEvent*>& ops) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (i * 8)) & 0xFF;
-      hash *= 0x100000001b3ull;
-    }
-  };
-  mix(ops.front()->table);
-  if (ops.front()->op != db::ApiOp::Alloc) {
-    mix(ops.front()->record);
-  }
-  for (const db::ApiEvent* event : ops) {
-    mix(static_cast<std::uint64_t>(event->op));
-    mix(event->group);
-    mix(event->field);
-    mix(event->payload_len);
-    for (std::uint8_t i = 0; i < event->payload_len; ++i) {
-      mix(static_cast<std::uint64_t>(
-          static_cast<std::uint32_t>(event->payload[i])));
-    }
-  }
-  return hash;
-}
-
 struct Summary {
   std::size_t events = 0;
   std::size_t updates = 0;
@@ -105,10 +60,6 @@ struct Summary {
 Summary summarize(const std::vector<db::ApiEvent>& events) {
   Summary s;
   s.events = events.size();
-  // Chain grouping mirrors audit::ReplayAuditor: per-(table, record),
-  // segmented at lifecycle boundaries (every DBalloc starts a new chain).
-  std::vector<std::vector<const db::ApiEvent*>> chains;
-  std::map<std::uint64_t, std::size_t> chain_of;
   for (const db::ApiEvent& event : events) {
     if (s.by_op.empty()) {
       s.first_time = event.time;
@@ -120,23 +71,12 @@ Summary summarize(const std::vector<db::ApiEvent>& events) {
     if (event.is_update) {
       ++s.updates;
     }
-    if (replayable(event)) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(event.table) << 32) | event.record;
-      auto it = chain_of.find(key);
-      if (it == chain_of.end() || event.op == db::ApiOp::Alloc) {
-        it = chain_of.insert_or_assign(key, chains.size()).first;
-        chains.emplace_back();
-      }
-      chains[it->second].push_back(&event);
-    }
   }
-  std::unordered_map<std::uint64_t, std::size_t> unique;
-  for (const auto& ops : chains) {
-    ++s.chains;
-    ++unique[chain_signature(ops)];
-  }
-  s.unique_chains = unique.size();
+  const auto database = db::make_controller_database();
+  audit::ReplayAuditor auditor(*database, audit::ReplayConfig{});
+  const audit::ReplayStats stats = auditor.classify(events);
+  s.chains = stats.chains;
+  s.unique_chains = stats.unique_chains;
   return s;
 }
 
