@@ -33,22 +33,20 @@ const char* run_once(bool with_pecos, std::uint64_t seed) {
   callproc::VmProgramParams params;
   params.ids = db::resolve_controller_ids(db->schema());
   params.calls_per_thread = 1;
-  const vm::Program program = callproc::build_call_program(params);
-
-  const pecos::Plan plan = pecos::Plan::instrument(program);
-  pecos::PecosMonitor monitor(plan);
+  const callproc::ProgramImage& image = callproc::call_program_image(params);
+  pecos::PecosMonitor monitor(image.plan);
 
   callproc::VmDriverConfig cfg;
   cfg.threads = 8;
   auto driver = std::make_shared<callproc::VmClientDriver>(
-      program, *db, cpu, common::Rng(seed), cfg, nullptr,
+      image.program, *db, cpu, common::Rng(seed), cfg, nullptr,
       with_pecos ? &monitor : nullptr);
   node.spawn("client", driver);
 
   inject::ClientInjectorConfig inj;
   inj.target = inject::InjectTarget::DirectedCFI;
   inj.model = inject::ErrorModel::DATAOF;
-  inject::ClientErrorInjector injector(driver->vmp(), scheduler,
+  inject::ClientErrorInjector injector(driver->vmp(), image.cfg(), scheduler,
                                        common::Rng(seed * 31), inj);
   injector.arm();
 
@@ -77,13 +75,13 @@ int main() {
   auto db = db::make_controller_database();
   callproc::VmProgramParams params;
   params.ids = db::resolve_controller_ids(db->schema());
-  const vm::Program program = callproc::build_call_program(params);
-  const vm::Cfg cfg = vm::Cfg::analyze(program);
-  const pecos::Plan plan = pecos::Plan::instrument(program);
+  const callproc::ProgramImage& image = callproc::call_program_image(params);
+  const vm::Program& program = image.program;
+  const pecos::Plan& plan = image.plan;
 
   std::printf("call-processing client program: %u instructions, %zu basic "
               "blocks, %zu CFIs instrumented with Assertion Blocks\n\n",
-              program.size(), cfg.block_count(), plan.assertion_count());
+              program.size(), image.cfg().block_count(), plan.assertion_count());
 
   std::printf("first instructions of the program:\n");
   for (std::uint32_t pc = 0; pc < 12 && pc < program.size(); ++pc) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <stdexcept>
 
 #include "common/crc32.hpp"
 #include "db/direct.hpp"
@@ -300,7 +301,7 @@ class AuditEngine::Installment {
         engine_(engine),
         budget_(budget),
         grain_(std::max<std::size_t>(1, engine.config_.parallel_grain)),
-        task_cost_(engine.task_cost_) {
+        task_cost_(engine.scratch_->task_cost) {
     task_cost_.clear();
     if (!progress.started) {
       // First installment: capture the epoch mark. Writes that land during
@@ -342,7 +343,7 @@ class AuditEngine::Installment {
   CheckResult finish(std::uint64_t* watermark) {
     engine_.scan_makespan_ =
         greedy_makespan(task_cost_, engine_.config_.audit_threads,
-                        engine_.worker_load_);
+                        engine_.scratch_->worker_load);
     if (watermark != nullptr && !progress.truncated) {
       // Epoch watermark: writes that landed during (any installment of)
       // this scan have generations above `mark` and stay dirty for the next
@@ -371,7 +372,7 @@ CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
   // Select: the chunk indexes this installment must verify. Computed up
   // front (not interleaved with recovery) so the parallel detection phase
   // sees exactly the set the merge phase will book.
-  std::vector<std::size_t>& selected = selected_chunks_;
+  std::vector<std::size_t>& selected = scratch_->selected_chunks;
   selected.clear();
   for (std::size_t i = run.progress.resume; i < static_chunks_.size(); ++i) {
     const auto& chunk = static_chunks_[i];
@@ -382,7 +383,7 @@ CheckResult AuditEngine::static_scan(WorkUnit& unit, sim::Duration budget) {
   }
 
   // Detect (read-only, parallelizable): golden-CRC compare per chunk.
-  std::vector<char>& clean = verdict_flags_;
+  std::vector<char>& clean = scratch_->verdict_flags;
   clean.assign(selected.size(), 0);
   parallel_detect(selected.size(), [&](std::size_t k) {
     const auto& chunk = static_chunks_[selected[k]];
@@ -439,13 +440,13 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   // Expected `next` links, computed from the stored group values
   // ("offsets ... based on record sizes stored in system tables; all
   // record sizes are fixed and known", §4.3.2).
-  db::group_links(db_.region(), tl, links_);
+  db::group_links(db_.region(), tl, scratch_->links);
 
   // Select: records this installment must validate. All repairs happen
   // after detection (below), so an up-front selection sees the same dirty
   // set the legacy interleaved loop did.
   const auto resume = static_cast<db::RecordIndex>(run.progress.resume);
-  std::vector<db::RecordIndex>& selected = selected_records_;
+  std::vector<db::RecordIndex>& selected = scratch_->selected_records;
   selected.clear();
   for (db::RecordIndex r = resume; r < tl.num_records; ++r) {
     if (exhaustive || db_.header_generation(t, r) > structure_watermark_[t]) {
@@ -456,14 +457,14 @@ CheckResult AuditEngine::structure_scan(WorkUnit& unit, sim::Duration budget) {
   // Detect (read-only, parallelizable): corruption verdict per header,
   // against the pre-repair region state — exactly what the sequential
   // loop reads, since it too repairs only after the detection loop.
-  std::vector<char>& corrupt = verdict_flags_;
+  std::vector<char>& corrupt = scratch_->verdict_flags;
   corrupt.assign(selected.size(), 0);
   const bool dynamic = db_.schema().tables[t].dynamic;
   parallel_detect(selected.size(), [&](std::size_t k) {
     const db::RecordIndex r = selected[k];
     corrupt[k] = static_cast<char>(
         db::header_faults(db::direct::read_header(db_, t, r), t, r, dynamic,
-                          links_[r]) != 0);
+                          scratch_->links[r]) != 0);
   });
 
   // Merge in record order, replaying the sequential loop's consecutive-run
@@ -611,7 +612,7 @@ CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
   // Select: records this installment must examine (dirty and not
   // scrub-attested). The skip reasons here book nothing, same as the
   // sequential loop's `continue`s.
-  std::vector<db::RecordIndex>& selected = selected_records_;
+  std::vector<db::RecordIndex>& selected = scratch_->selected_records;
   selected.clear();
   for (auto r = static_cast<db::RecordIndex>(run.progress.resume);
        r < spec.num_records; ++r) {
@@ -631,7 +632,7 @@ CheckResult AuditEngine::ranges_scan(WorkUnit& unit, sim::Duration budget) {
   }
 
   // Detect (read-only, parallelizable).
-  std::vector<RangeVerdict>& verdict = range_verdicts_;
+  std::vector<RangeVerdict>& verdict = scratch_->range_verdicts;
   verdict.assign(selected.size(), RangeVerdict{});
   parallel_detect(selected.size(), [&](std::size_t k) {
     if (recently_written(t, selected[k])) {
@@ -740,14 +741,14 @@ CheckResult AuditEngine::semantics_scan(WorkUnit& unit, sim::Duration budget) {
   const bool exhaustive = unit.scan == Scan::Exhaustive;
   const std::size_t resume = run.progress.resume;
   std::uint64_t& mark = run.progress.mark;
-  auto& chain = chain_;
+  auto& chain = scratch_->chain;
 
   // Anchor selection. Exhaustive: every record of every anchor table
   // (dynamic + FK-bearing; activity is checked at walk time). Incremental:
   // only records written since the watermark, plus — via the per-anchor
   // dirty sets — the last-known anchor of every dirty chain member, so a
   // corrupted mid-chain link re-walks exactly the loop it belongs to.
-  std::vector<std::vector<char>>& walk = walk_;
+  std::vector<std::vector<char>>& walk = scratch_->walk;
   walk.resize(db_.table_count());
   for (db::TableId t = 0; t < db_.table_count(); ++t) {
     walk[t].assign(db_.schema().tables[t].num_records, 0);
@@ -883,7 +884,7 @@ CheckResult AuditEngine::semantics_scan(WorkUnit& unit, sim::Duration budget) {
       }
     }
 
-    std::vector<char>& referenced = referenced_;
+    std::vector<char>& referenced = scratch_->referenced;
     referenced.assign(spec.num_records, 0);
     for (const auto& [u, f] : referencing_[t]) {
       const auto& uspec = db_.schema().tables[u];
@@ -980,7 +981,7 @@ CheckResult AuditEngine::selective_scan(WorkUnit& unit) {
       ++run.result.findings;
       // "Further checked by other means": escalate to the semantic audit
       // before acting on a derived (unverified) invariant.
-      if (loop_intact(t, r, chain_)) {
+      if (loop_intact(t, r, scratch_->chain)) {
         // The record's relationships are intact, but the attribute value
         // is a statistical outlier — reset the field only.
         report(field_finding(Technique::SelectiveMonitor, Recovery::ResetField,
@@ -1038,6 +1039,18 @@ CheckResult AuditEngine::run_alone(WorkUnit::Kind kind, db::TableId t, Scan scan
 }
 
 CheckResult AuditEngine::run_unit(WorkUnit& unit, sim::Duration budget) {
+  // Lends this thread's scratch to this one scan. A scan that started
+  // another on its own thread would have the set rewritten under it.
+  thread_local ScanScratch scratch;
+  if (scratch.lent) {
+    throw std::logic_error("AuditEngine: scan re-entered on one thread");
+  }
+  scratch.lent = true;
+  scratch_ = &scratch;
+  struct GiveBack {
+    ScanScratch& set;
+    ~GiveBack() { set.lent = false; }
+  } give_back{scratch};
   scan_makespan_ = 0;
   switch (unit.kind) {
     case WorkUnit::Kind::Static:

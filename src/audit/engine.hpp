@@ -338,26 +338,34 @@ class AuditEngine {
     std::uint32_t golden_crc;
   };
   std::vector<StaticChunk> static_chunks_;
-  // Per-scan scratch, reused so a cycle allocates nothing once the
-  // buffers have grown to the largest table.
-  /// db::group_links scratch for the structural scan.
-  std::vector<std::uint32_t> links_;
-  /// Items a scan installment selected: static chunk indexes, or records.
-  std::vector<std::size_t> selected_chunks_;
-  std::vector<db::RecordIndex> selected_records_;
-  /// Per selected item: clean (static) / corrupt (structural) verdicts and
-  /// range verdicts, written by the detection phase.
-  std::vector<char> verdict_flags_;
-  std::vector<RangeVerdict> range_verdicts_;
-  /// Booked cost per detection task of the running installment, and the
-  /// per-worker totals greedy_makespan folds it into.
-  std::vector<sim::Duration> task_cost_;
-  std::vector<sim::Duration> worker_load_;
-  /// The semantic scan's per-table anchor selection, its loop walk and
-  /// its orphan sweep's referenced set.
-  std::vector<std::vector<char>> walk_;
-  std::vector<std::pair<db::TableId, db::RecordIndex>> chain_;
-  std::vector<char> referenced_;
+  /// Per-scan temporaries, reused so a scan allocates nothing once they
+  /// have grown to the largest table. There is one set per calling thread,
+  /// shared by every engine that scans on it (a sharded database's shard
+  /// engines audit one after another), so a thread keeps one set sized to
+  /// the largest table it audits. run_unit lends it to one scan at a time.
+  struct ScanScratch {
+    /// db::group_links scratch for the structural scan.
+    std::vector<std::uint32_t> links;
+    /// Items a scan installment selected: static chunk indexes, or records.
+    std::vector<std::size_t> selected_chunks;
+    std::vector<db::RecordIndex> selected_records;
+    /// Per selected item: clean (static) / corrupt (structural) verdicts
+    /// and range verdicts, written by the detection phase.
+    std::vector<char> verdict_flags;
+    std::vector<RangeVerdict> range_verdicts;
+    /// Booked cost per detection task of the running installment, and the
+    /// per-worker totals greedy_makespan folds it into.
+    std::vector<sim::Duration> task_cost;
+    std::vector<sim::Duration> worker_load;
+    /// The semantic scan's per-table anchor selection, its loop walk and
+    /// its orphan sweep's referenced set.
+    std::vector<std::vector<char>> walk;
+    std::vector<std::pair<db::TableId, db::RecordIndex>> chain;
+    std::vector<char> referenced;
+    bool lent = false;
+  };
+  /// The calling thread's set, while run_unit runs a scan.
+  ScanScratch* scratch_ = nullptr;
   /// A cycle's work queue.
   std::vector<WorkUnit> queue_;
 

@@ -1,6 +1,7 @@
 #include "callproc/vm_program.hpp"
 
 #include "callproc/native_client.hpp"
+#include "common/memo.hpp"
 #include "vm/builder.hpp"
 
 namespace wtc::callproc {
@@ -401,6 +402,18 @@ vm::Program build_call_program(const VmProgramParams& params) {
   b.pad(kPaddingWords);
 
   return std::move(b).build(/*data_words=*/64);
+}
+
+const ProgramImage& call_program_image(const VmProgramParams& params) {
+  static common::Memo<VmProgramParams, ProgramImage> images;
+  return images.get(params, [&params] {
+    vm::Program program = build_call_program(params);
+    vm::Cfg cfg = vm::Cfg::analyze(program);
+    pecos::Plan plan = pecos::Plan::from_cfg(cfg);
+    pecos::BsscPlan bssc = pecos::BsscPlan::from_cfg(program, std::move(cfg));
+    return std::make_unique<const ProgramImage>(
+        ProgramImage{std::move(program), std::move(plan), std::move(bssc)});
+  });
 }
 
 }  // namespace wtc::callproc

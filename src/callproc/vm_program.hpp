@@ -13,6 +13,8 @@
 #include <cstdint>
 
 #include "db/controller_schema.hpp"
+#include "pecos/bssc.hpp"
+#include "pecos/plan.hpp"
 #include "vm/program.hpp"
 
 namespace wtc::callproc {
@@ -30,6 +32,8 @@ struct VmProgramParams {
   db::ControllerIds ids;
   std::int32_t num_subscribers = 64;
   std::int32_t calls_per_thread = 2;
+
+  bool operator==(const VmProgramParams&) const = default;
 };
 
 /// Builds the per-thread call-processing program. Every thread of the
@@ -38,5 +42,21 @@ struct VmProgramParams {
 /// (call waiting, paging, handoff) plus inter-function padding — cold text
 /// the injector can hit without the error ever activating (§5.1 / §6.1.2).
 [[nodiscard]] vm::Program build_call_program(const VmProgramParams& params);
+
+/// The pristine call program and what PECOS derives from it when the
+/// client is compiled (§6.1.1): its CFG, analysed once, and the PECOS and
+/// BSSC plans built from that CFG. Immutable: runs share it read-only and
+/// each VmProcess copies the text it mutates.
+struct ProgramImage {
+  vm::Program program;
+  pecos::Plan plan;
+  pecos::BsscPlan bssc;
+
+  [[nodiscard]] const vm::Cfg& cfg() const noexcept { return plan.cfg(); }
+};
+
+/// The image of `build_call_program(params)`, built on the first request
+/// for `params` and kept, unmoved, for the life of the process.
+[[nodiscard]] const ProgramImage& call_program_image(const VmProgramParams& params);
 
 }  // namespace wtc::callproc

@@ -2,6 +2,9 @@
 
 #include <array>
 
+#include "common/memo.hpp"
+#include "obs/metrics.hpp"
+
 namespace wtc::db {
 namespace {
 
@@ -133,8 +136,16 @@ void populate_controller_static_data(std::span<std::byte> region,
 
 std::unique_ptr<Database> make_controller_database(
     const ControllerSchemaParams& params) {
-  return std::make_unique<Database>(make_controller_schema(params),
-                                    populate_controller_static_data);
+  static common::Memo<ControllerSchemaParams, Database> templates;
+  const Database& pristine = templates.get(params, [&params] {
+    // The template is no run's database: its construction's index
+    // rebuilds are not counted against the run that happens to build it.
+    obs::Recorder discard;
+    const obs::ScopedRecorder scope(discard);
+    return std::make_unique<const Database>(make_controller_schema(params),
+                                            populate_controller_static_data);
+  });
+  return pristine.boot_copy();
 }
 
 Schema make_bench_schema(const BenchSchemaParams& params) {

@@ -27,6 +27,8 @@ struct ControllerSchemaParams {
   RecordIndex resource_records = 96;
   RecordIndex config_records = 16;
   RecordIndex subscriber_records = 64;
+
+  bool operator==(const ControllerSchemaParams&) const = default;
 };
 
 /// Resolved ids for the controller schema, so client code reads like the
@@ -49,6 +51,8 @@ struct ControllerIds {
       r_link_quality, r_timeslot, r_interference;
   // Subscriber table fields
   FieldId s_subscriber_id, s_auth_key, s_privileges;
+
+  bool operator==(const ControllerIds&) const = default;
 };
 
 /// Primary-key encoding: record `r` of a table has key value `r + 1`
@@ -82,7 +86,9 @@ void populate_controller_static_data(std::span<std::byte> region,
 /// this function (so corrupted subscriber data fails real authentication).
 [[nodiscard]] std::int32_t subscriber_auth_key(RecordIndex r) noexcept;
 
-/// Convenience: construct the controller database (schema + static data).
+/// Constructs the controller database (schema + static data). Each call
+/// returns a `boot_copy` of a pristine template built once per `params`
+/// and kept for the life of the process.
 [[nodiscard]] std::unique_ptr<Database> make_controller_database(
     const ControllerSchemaParams& params = {});
 

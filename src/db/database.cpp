@@ -15,7 +15,22 @@ Database::Database(Schema schema, const PopulateFn& populate)
     populate(region_, schema_, layout_);
   }
   pristine_ = region_;
+  boot();
+}
 
+Database::Database(const Database& image, BootCopy)
+    : schema_(image.schema_),
+      layout_(image.layout_),
+      region_(image.pristine_),
+      pristine_(image.pristine_) {
+  boot();
+}
+
+std::unique_ptr<Database> Database::boot_copy() const {
+  return std::unique_ptr<Database>(new Database(*this, BootCopy{}));
+}
+
+void Database::boot() {
   locks_.resize(schema_.tables.size());
   table_stats_.resize(schema_.tables.size());
   record_meta_.reserve(schema_.tables.size());

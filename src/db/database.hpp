@@ -86,6 +86,14 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
+  /// A fresh database booted from this one's schema and pristine image:
+  /// what `Database(schema, populate)` builds, without formatting and
+  /// populating again. Locks, record metadata, statistics and write
+  /// generations start fresh, no observer is attached, and every shadow
+  /// index is rebuilt from the copied region (counting db.index_rebuilds
+  /// as construction does).
+  [[nodiscard]] std::unique_ptr<Database> boot_copy() const;
+
   [[nodiscard]] const Schema& schema() const noexcept { return schema_; }
   [[nodiscard]] const Layout& layout() const noexcept { return layout_; }
 
@@ -265,6 +273,12 @@ class Database {
   [[nodiscard]] RegionObserver* observer() const noexcept { return observer_; }
 
  private:
+  struct BootCopy {};
+  Database(const Database& image, BootCopy);
+  /// Sizes the per-table runtime state, all clean, and builds every shadow
+  /// index from the region: the tail of both constructors.
+  void boot();
+
   Schema schema_;
   Layout layout_;
   std::vector<std::byte> region_;

@@ -26,16 +26,16 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
   const auto ids = db::resolve_controller_ids(db.schema());
   callproc::ClientDirectory& directory = stack.add_client_directory();
 
-  // The MiniVM client's program, optionally instrumented with PECOS.
+  // The MiniVM client's program and its instrumentation, shared by every
+  // run with the same program parameters.
   callproc::VmProgramParams prog_params;
   prog_params.ids = ids;
   prog_params.num_subscribers =
       static_cast<std::int32_t>(db.schema().tables[ids.subscriber].num_records);
   prog_params.calls_per_thread = params.calls_per_thread;
-  const vm::Program program = callproc::build_call_program(prog_params);
+  const callproc::ProgramImage& image = callproc::call_program_image(prog_params);
 
-  std::optional<pecos::Plan> plan;
-  std::optional<pecos::BsscPlan> bssc_plan;
+  const pecos::Plan* plan = nullptr;
   std::unique_ptr<vm::ExecMonitor> monitor;
   pecos::PecosMonitor* pecos_monitor = nullptr;
   pecos::PostCheckMonitor* postcheck_monitor = nullptr;
@@ -43,28 +43,27 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
     case CfcMode::None:
       break;
     case CfcMode::Pecos: {
-      plan.emplace(pecos::Plan::instrument(program));
-      auto m = std::make_unique<pecos::PecosMonitor>(*plan);
+      plan = &image.plan;
+      auto m = std::make_unique<pecos::PecosMonitor>(image.plan);
       pecos_monitor = m.get();
       monitor = std::move(m);
       break;
     }
     case CfcMode::PostCheck: {
-      plan.emplace(pecos::Plan::instrument(program));
-      auto m = std::make_unique<pecos::PostCheckMonitor>(*plan);
+      plan = &image.plan;
+      auto m = std::make_unique<pecos::PostCheckMonitor>(image.plan);
       postcheck_monitor = m.get();
       monitor = std::move(m);
       break;
     }
     case CfcMode::Bssc:
-      bssc_plan.emplace(pecos::BsscPlan::instrument(program));
-      monitor = std::make_unique<pecos::BsscMonitor>(*bssc_plan);
+      monitor = std::make_unique<pecos::BsscMonitor>(image.bssc);
       break;
   }
 
   // ACFA needs the CFG plan, so it rides the Pecos/PostCheck modes only.
-  const bool cf_attest_active = params.cf_attest && plan.has_value();
-  const bool heal_active = params.heal && plan.has_value();
+  const bool cf_attest_active = params.cf_attest && plan != nullptr;
+  const bool heal_active = params.heal && plan != nullptr;
 
   std::optional<pecos::CfLog> cf_log;
   if (cf_attest_active || heal_active) {
@@ -136,7 +135,7 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
   callproc::VmDriverConfig driver_cfg;
   driver_cfg.threads = params.threads;
   auto driver = std::make_shared<callproc::VmClientDriver>(
-      program, db, stack.cpu(), stack.rng().fork(7), driver_cfg, driver_sink,
+      image.program, db, stack.cpu(), stack.rng().fork(7), driver_cfg, driver_sink,
       monitor.get());
   client_pid = stack.spawn_client(driver);
 
@@ -160,7 +159,7 @@ PecosRunResult run_pecos_single(const PecosRunParams& params) {
     driver->set_violation_handler(report_violation);
   }
 
-  inject::ClientErrorInjector injector(driver->vmp(), scheduler,
+  inject::ClientErrorInjector injector(driver->vmp(), image.cfg(), scheduler,
                                        stack.rng().fork(9), params.injector);
   injector.arm();
 

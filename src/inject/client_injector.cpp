@@ -17,14 +17,11 @@ std::string_view to_string(ErrorModel model) noexcept {
 }
 
 ClientErrorInjector::ClientErrorInjector(vm::VmProcess& process,
+                                         const vm::Cfg& cfg,
                                          sim::Scheduler& scheduler,
                                          common::Rng rng,
                                          ClientInjectorConfig config)
-    : process_(process),
-      scheduler_(scheduler),
-      rng_(rng),
-      config_(config),
-      cfg_(vm::Cfg::analyze(process.pristine())) {}
+    : process_(process), scheduler_(scheduler), rng_(rng), config_(config), cfg_(cfg) {}
 
 std::uint32_t ClientErrorInjector::pick_target() {
   if (config_.target == InjectTarget::DirectedCFI) {

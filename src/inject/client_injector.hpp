@@ -53,8 +53,11 @@ class ClientErrorInjector {
   static constexpr sim::Duration kErrorWindow =
       2 * static_cast<sim::Duration>(sim::kMillisecond);
 
-  ClientErrorInjector(vm::VmProcess& process, sim::Scheduler& scheduler,
-                      common::Rng rng, ClientInjectorConfig config);
+  /// `cfg` is the analysis of `process.pristine()` (the DirectedCFI
+  /// targets); it must outlive the injector.
+  ClientErrorInjector(vm::VmProcess& process, const vm::Cfg& cfg,
+                      sim::Scheduler& scheduler, common::Rng rng,
+                      ClientInjectorConfig config);
 
   /// Chooses the target instruction and arms the breakpoint.
   void arm();
@@ -75,7 +78,7 @@ class ClientErrorInjector {
   sim::Scheduler& scheduler_;
   mutable common::Rng rng_;
   ClientInjectorConfig config_;
-  vm::Cfg cfg_;
+  const vm::Cfg& cfg_;
   std::uint32_t target_pc_ = 0;
   std::uint8_t bit_ = 0;
   std::uint32_t addr_mask_ = 0;

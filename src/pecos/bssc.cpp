@@ -5,8 +5,12 @@
 namespace wtc::pecos {
 
 BsscPlan BsscPlan::instrument(const vm::Program& program) {
+  return from_cfg(program, vm::Cfg::analyze(program));
+}
+
+BsscPlan BsscPlan::from_cfg(const vm::Program& program, vm::Cfg cfg) {
   BsscPlan plan;
-  plan.cfg_ = vm::Cfg::analyze(program);
+  plan.cfg_ = std::move(cfg);
   const auto& leaders = plan.cfg_.leaders();
   plan.blocks_.reserve(leaders.size());
   plan.block_of_.assign(program.size(), 0);

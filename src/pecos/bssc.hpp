@@ -24,6 +24,8 @@ namespace wtc::pecos {
 class BsscPlan {
  public:
   static BsscPlan instrument(const vm::Program& program);
+  /// Builds the plan from `program` and its CFG (`Cfg::analyze(program)`).
+  static BsscPlan from_cfg(const vm::Program& program, vm::Cfg cfg);
 
   struct BlockInfo {
     std::uint32_t leader = 0;

@@ -3,8 +3,12 @@
 namespace wtc::pecos {
 
 Plan Plan::instrument(const vm::Program& program) {
+  return from_cfg(vm::Cfg::analyze(program));
+}
+
+Plan Plan::from_cfg(vm::Cfg cfg) {
   Plan plan;
-  plan.cfg_ = vm::Cfg::analyze(program);
+  plan.cfg_ = std::move(cfg);
 
   // Return points: instruction after every call-class CFI, in site order.
   for (const vm::CfiInfo& info : plan.cfg_.cfis()) {

@@ -43,6 +43,8 @@ class Plan {
  public:
   /// Builds the plan from the pristine program (runs CFG analysis).
   static Plan instrument(const vm::Program& program);
+  /// Builds the plan from an already analyzed pristine program.
+  static Plan from_cfg(vm::Cfg cfg);
 
   Plan() = default;
   // Copies and moves re-point each assertion's target view at the new

@@ -8,6 +8,12 @@
 // operator new with a counting one and checks that a 2000-s run allocates
 // no more often than a 200-s run, with injections off and on, and with
 // four audit threads.
+//
+// A Table-8 PECOS run builds its stack, client and monitors per run, but
+// takes the call program, its CFG and PECOS/BSSC plans from the shared
+// ProgramImage and clones the controller database from a template. Its
+// arm pins each of the five t8_pecos_campaign configurations under a
+// bound, so rebuilding the program, a plan or the database per run fails.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +23,7 @@
 
 #include "bench_util.hpp"
 #include "experiments/audit_runner.hpp"
+#include "experiments/pecos_runner.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define WTC_SANITIZER_OWNS_NEW 1
@@ -116,6 +123,51 @@ void expect_steady_state(bool injections, std::size_t audit_threads = 1) {
   EXPECT_LE(long_run, short_run)
       << "allocations grow with simulated time: something on the event path "
          "allocates per event or per audit cycle";
+#endif
+}
+
+/// Allocations of one Table-8 run (directed CFI injection, DATAOF) in the
+/// t8_pecos_campaign configuration `config`: -PECOS -Audit, -PECOS +Audit,
+/// +PECOS -Audit, +PECOS +Audit, and ACFA (+PECOS +Audit +attest +heal).
+std::uint64_t pecos_run_allocations(std::size_t config) {
+#ifdef WTC_SANITIZER_OWNS_NEW
+  (void)config;
+  return 0;
+#else
+  experiments::PecosRunParams params;
+  params.cfc = config >= 2 ? experiments::CfcMode::Pecos : experiments::CfcMode::None;
+  params.audit = config == 1 || config >= 3;
+  params.cf_attest = config == 4;
+  params.heal = config == 4;
+  params.injector.target = inject::InjectTarget::DirectedCFI;
+  params.injector.model = inject::ErrorModel::DATAOF;
+  params.seed = 8;
+  allocations.store(0);
+  counting.store(true);
+  const auto result = experiments::run_pecos_single(params);
+  counting.store(false);
+  EXPECT_TRUE(result.activated);
+  return allocations.load();
+#endif
+}
+
+TEST(AllocSteadyState, PecosRunsTakeTheirProgramAndDatabaseFromSharedInputs) {
+#ifdef WTC_SANITIZER_OWNS_NEW
+  GTEST_SKIP() << "the sanitizer runtime supplies operator new, so a "
+                  "replacement counter would bypass its checks";
+#else
+  // Measured per configuration with the shared inputs in place, plus 15:
+  // 117, 167, 144, 202 and 725 (232, 282, 281, 366 and 889 when every run
+  // built its own). Building the program (~75 allocations), the database
+  // (~57), a plan (~22) or the injector's CFG (~17) per run exceeds them.
+  constexpr std::uint64_t kBound[] = {132, 182, 159, 217, 740};
+  for (std::size_t config = 0; config < std::size(kBound); ++config) {
+    (void)pecos_run_allocations(config);  // warm-up: images, templates, statics
+    const std::uint64_t n = pecos_run_allocations(config);
+    std::printf("PECOS configuration %zu: %llu allocations per run\n", config,
+                static_cast<unsigned long long>(n));
+    EXPECT_LE(n, kBound[config]) << "configuration " << config;
+  }
 #endif
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "audit/engine.hpp"
@@ -120,6 +121,26 @@ TEST_F(EngineTest, StaticChecksumDetectsAndReloadsCatalogCorruption) {
   EXPECT_TRUE(db::CatalogView(db_->region()).header_ok());
   // A second pass is clean.
   EXPECT_EQ(engine_->check_static().findings, 0u);
+}
+
+// Engines on one thread share one scan scratch set, lent to one scan at a
+// time: a scan started from inside another (here, from the report sink)
+// would have the set rewritten under it, so it throws instead.
+TEST_F(EngineTest, ScanReenteredOnOneThreadThrows) {
+  auto other_db = db::make_controller_database();
+  AuditEngine other(*other_db, config_, [this]() { return now_; });
+  struct ReenteringSink : ReportSink {
+    AuditEngine* other = nullptr;
+    void on_finding(const Finding&) override { (void)other->check_static(); }
+  } reentering;
+  reentering.other = &other;
+  engine_->set_report_sink(&reentering);
+  db_->region()[4] ^= std::byte{0x20};
+  EXPECT_THROW((void)engine_->check_static(), std::logic_error);
+  // The set is given back when the throw unwinds the outer scan.
+  engine_->set_report_sink(&sink_);
+  EXPECT_EQ(other.check_static().findings, 0u);
+  EXPECT_EQ(engine_->check_static().findings, 1u);
 }
 
 TEST_F(EngineTest, StaticChecksumDetectsStaticTableCorruption) {

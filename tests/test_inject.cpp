@@ -446,23 +446,24 @@ class ClientInjectorTest : public ::testing::Test {
     params.num_subscribers = 64;
     params.calls_per_thread = 1;
     program_ = callproc::build_call_program(params);
+    cfg_ = vm::Cfg::analyze(program_);
   }
 
   std::unique_ptr<db::Database> db_;
   db::DbApi api_;
   vm::Program program_;
+  vm::Cfg cfg_;
   sim::Scheduler scheduler_;
 };
 
 TEST_F(ClientInjectorTest, DirectedTargetsAreAlwaysCfis) {
   vm::VmProcess process(program_, api_, common::Rng(1), {});
-  const vm::Cfg cfg = vm::Cfg::analyze(program_);
   for (int i = 0; i < 50; ++i) {
     ClientInjectorConfig config;
     config.target = InjectTarget::DirectedCFI;
-    ClientErrorInjector injector(process, scheduler_, common::Rng(100u + static_cast<std::uint64_t>(i)), config);
+    ClientErrorInjector injector(process, cfg_, scheduler_, common::Rng(100u + static_cast<std::uint64_t>(i)), config);
     injector.arm();
-    EXPECT_NE(cfg.cfi_at(injector.target_pc()), nullptr)
+    EXPECT_NE(cfg_.cfi_at(injector.target_pc()), nullptr)
         << "pc " << injector.target_pc();
   }
 }
@@ -472,7 +473,7 @@ TEST_F(ClientInjectorTest, DataModelsFlipTheRightBits) {
     vm::VmProcess process(program_, api_, common::Rng(1), {});
     ClientInjectorConfig config;
     config.model = i % 2 == 0 ? ErrorModel::DATAIF : ErrorModel::DATAOF;
-    ClientErrorInjector injector(process, scheduler_, common::Rng(200u + static_cast<std::uint64_t>(i)), config);
+    ClientErrorInjector injector(process, cfg_, scheduler_, common::Rng(200u + static_cast<std::uint64_t>(i)), config);
     injector.arm();
     const std::uint32_t pc = injector.target_pc();
     const std::uint64_t before = process.live_text()[pc];
@@ -498,7 +499,7 @@ TEST_F(ClientInjectorTest, RestoreBringsPristineTextBack) {
   vm::VmProcess process(program_, api_, common::Rng(1), {});
   ClientInjectorConfig config;
   config.model = ErrorModel::DATAInF;
-  ClientErrorInjector injector(process, scheduler_, common::Rng(5), config);
+  ClientErrorInjector injector(process, cfg_, scheduler_, common::Rng(5), config);
   injector.arm();
 
   process.spawn_thread(injector.target_pc());
@@ -522,7 +523,7 @@ TEST_F(ClientInjectorTest, MultipleThreadsCanActivateOneInjection) {
   for (int t = 0; t < 8; ++t) {
     fresh.spawn_thread(program_.entry);
   }
-  ClientErrorInjector hot(fresh, scheduler_, common::Rng(3), config);
+  ClientErrorInjector hot(fresh, cfg_, scheduler_, common::Rng(3), config);
   hot.arm();
   // Run all threads round-robin within the window; re-run until the
   // breakpoint pc gets planted, then give other threads quanta.
@@ -549,7 +550,7 @@ TEST_F(ClientInjectorTest, RestoredTextRunsCleanForLaterThreads) {
   vm::VmProcess process(program_, api_, common::Rng(1), {});
   ClientInjectorConfig config;
   config.model = ErrorModel::DATAInF;
-  ClientErrorInjector injector(process, scheduler_, common::Rng(5), config);
+  ClientErrorInjector injector(process, cfg_, scheduler_, common::Rng(5), config);
   injector.arm();
   const std::uint32_t pc = injector.target_pc();
 
@@ -567,7 +568,7 @@ TEST_F(ClientInjectorTest, RestoredTextRunsCleanForLaterThreads) {
 TEST_F(ClientInjectorTest, UnreachedBreakpointNeverActivates) {
   vm::VmProcess process(program_, api_, common::Rng(1), {});
   ClientInjectorConfig config;
-  ClientErrorInjector injector(process, scheduler_, common::Rng(6), config);
+  ClientErrorInjector injector(process, cfg_, scheduler_, common::Rng(6), config);
   injector.arm();
   EXPECT_FALSE(injector.planted());
   EXPECT_FALSE(injector.activated());

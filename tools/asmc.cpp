@@ -106,12 +106,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const vm::Cfg cfg = vm::Cfg::analyze(program);
+  const pecos::Plan plan = pecos::Plan::instrument(program);
+  const vm::Cfg& cfg = plan.cfg();
   std::printf("%s: %u instructions, %zu basic blocks, %zu CFIs, %u data words\n\n",
               argv[1], program.size(), cfg.block_count(), cfg.cfis().size(),
               program.data_words);
   if (show_pecos) {
-    const pecos::Plan plan = pecos::Plan::instrument(program);
     std::printf("PECOS plan: %zu Assertion Blocks, %zu return points\n\n",
                 plan.assertion_count(), plan.return_points().size());
   }
